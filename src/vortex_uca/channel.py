@@ -8,8 +8,12 @@ Two gain models coexist:
   model against the transmit phase ramp collapses (for large arrays) into a
   closed form built from a Bessel factor per (element, mode) pair.
 
-The direct finite sum over transmit elements stays available as the oracle
-the closed form is measured against.
+:meth:`ModeGainFactors.c_matrix` tabulates that factor for every element
+and mode from one Bessel table; the closed-form gains, the demultiplexing
+weights and the aggregated noise all read it.  The direct finite sum over
+transmit elements, :meth:`ModeGainFactors.c_factor`, the aligned and the
+coplanar special cases stay scalar, as the references the closed form is
+measured against.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .geometry import (
     mode_index_set,
     zeta,
 )
-from .specfun import bessel_j
+from .specfun import MAX_ORDER, bessel_j, bessel_table
 
 # Magnitudes below this floor only matter to the error metric's log.
 _LOG_FLOOR = 1e-300
@@ -94,6 +98,20 @@ class ModeGainFactors:
     def c_factor(self, m: int, mode: int) -> complex:
         """Per-(element, mode) factor: unimodular prefactor times J_mode(b)."""
         return complex(self.c_prefactor[m - 1] * bessel_j(mode, float(self.b_factor[m - 1])))
+
+    def c_matrix(self, modes) -> np.ndarray:
+        """c_factor for every rx element (rows) and each of ``modes`` (columns).
+
+        All entries come from one Bessel table over every element's b; the
+        negative orders fold through J_{-l} = (-1)^l J_l.
+        """
+        l = np.array(tuple(modes))
+        j = bessel_table(np.max(np.abs(l)), self.b_factor).T[:, np.abs(l)]
+        j[:, (l < 0) & (l % 2 == 1)] *= -1.0
+        # One complex copy, scaled in place: sweeps build this per point.
+        c = j.astype(complex)
+        c *= self.c_prefactor[:, None]
+        return c
 
 
 @lru_cache(maxsize=256)
@@ -173,12 +191,28 @@ def mode_gain_direct(m: int, mode: int, geometry: LinkGeometry) -> complex:
     return complex(np.sum(row * ramp) / math.sqrt(g.n_tx))
 
 
-def mode_gain_closed(m: int, mode: int, geometry: LinkGeometry) -> complex:
-    """Closed-form per-mode gain at rx element m."""
+def _closed_gains(geometry: LinkGeometry, modes) -> np.ndarray:
+    """Closed-form gains h * exp(j*offset*l) * c_{m,l}, rx elements by ``modes``."""
     g = geometry
     f = mode_gain_factors(g)
-    phase = (g.rx_base_angle(m) + g.offset_alpha_rx - f.zeta[m - 1]) * mode
-    return complex(f.h_scalar * cmath.exp(1j * phase) * f.c_factor(m, mode))
+    l = np.array(tuple(modes))
+    psi = TWO_PI * np.arange(g.n_rx) / g.n_rx
+    phase = (psi[:, None] + g.offset_alpha_rx - f.zeta[:, None]) * l
+    return f.h_scalar * np.exp(1j * phase) * f.c_matrix(l)
+
+
+def mode_gain_closed(m: int, mode: int, geometry: LinkGeometry) -> complex:
+    """Closed-form per-mode gain at rx element m.
+
+    The Bessel recurrence starts above the highest order it tabulates, so
+    the column is evaluated next to the link's top order: a mode of the mode
+    set then equals its entry of :func:`mode_channel_matrix` bit for bit.
+    """
+    g = geometry
+    g._check_rx_index(m)
+    top = max(abs(l) for l in mode_index_set(g))
+    columns = (mode, top) if top <= MAX_ORDER else (mode,)
+    return complex(_closed_gains(g, columns)[m - 1, 0])
 
 
 def mode_gain_aligned(m: int, mode: int, geometry: LinkGeometry) -> complex:
@@ -226,14 +260,31 @@ def coplanar_factors(m: int, mode: int, geometry: LinkGeometry) -> tuple[float, 
     return b, complex(c)
 
 
+def _log_error(diff: float) -> float:
+    return math.log10(max(diff, _LOG_FLOOR))
+
+
 def approximation_error(m: int, mode: int, geometry: LinkGeometry) -> float:
     """log10 magnitude of (closed-form - direct-sum) per-mode gain.
 
     The magnitude is floored at 1e-300 so exact agreement maps to a finite
     value instead of -inf.
     """
-    diff = abs(mode_gain_closed(m, mode, geometry) - mode_gain_direct(m, mode, geometry))
-    return math.log10(max(diff, _LOG_FLOOR))
+    return _log_error(abs(mode_gain_closed(m, mode, geometry) - mode_gain_direct(m, mode, geometry)))
+
+
+def worst_approximation_error(geometry: LinkGeometry, modes) -> list[float]:
+    """Largest :func:`approximation_error` over the rx elements, per mode.
+
+    The closed-form gains of all ``modes`` come from one Bessel table.
+    """
+    g = geometry
+    closed = _closed_gains(g, modes)
+    return [
+        _log_error(max(abs(closed[m - 1, i] - mode_gain_direct(m, mode, g))
+                       for m in range(1, g.n_rx + 1)))
+        for i, mode in enumerate(modes)
+    ]
 
 
 def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> ChannelMatrix:
@@ -259,15 +310,14 @@ def mode_channel_matrix(geometry: LinkGeometry, method: str = "closed") -> ModeC
     finite-sum oracle.
     """
     g = geometry
+    modes = mode_index_set(g)
     if method == "closed":
-        gain = mode_gain_closed
+        entries = _closed_gains(g, modes)
     elif method == "direct":
-        gain = mode_gain_direct
+        entries = np.array(
+            [[mode_gain_direct(m, mode, g) for mode in modes] for m in range(1, g.n_rx + 1)]
+        )
     else:
         raise ValueError(f"unknown mode-gain method {method!r}")
-    modes = mode_index_set(g)
-    entries = np.array(
-        [[gain(m, mode, g) for mode in modes] for m in range(1, g.n_rx + 1)]
-    )
     entries.setflags(write=False)
     return ModeChannelMatrix(entries=entries, modes=modes)

@@ -14,20 +14,13 @@ import argparse
 import configparser
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .channel import (
-    approximation_error,
-    channel_matrix,
-    mode_channel_matrix,
-    mode_gain_closed,
-)
+from .channel import channel_matrix, mode_channel_matrix, worst_approximation_error
 from .errors import (
     DegenerateGeometry,
     ModeUnobservable,
@@ -48,32 +41,18 @@ from .transceiver import (
 )
 
 _GEOMETRY_KEYS = {
-    # config key -> (LinkGeometry field, parser)
-    "n_tx": ("n_tx", int),
-    "n_rx": ("n_rx", int),
-    "radius_tx_m": ("radius_tx", float),
-    "radius_rx_m": ("radius_rx", float),
-    "distance_m": ("center_distance", float),
-    "theta_rad": ("bearing_theta", float),
-    "phi_rad": ("tilt_phi", float),
-    "alpha_tx_rad": ("offset_alpha_tx", float),
-    "alpha_rx_rad": ("offset_alpha_rx", float),
-    "wavelength_m": ("wavelength", float),
-    "beta": ("beta", float),
-}
-
-_GEOMETRY_DEFAULTS = {
-    "n_tx": 10,
-    "n_rx": 10,
-    "radius_tx_m": 0.1,
-    "radius_rx_m": 0.1,
-    "distance_m": 1.0,
-    "theta_rad": 0.0,
-    "phi_rad": 0.0,
-    "alpha_tx_rad": 0.0,
-    "alpha_rx_rad": 0.0,
-    "wavelength_m": 0.1,
-    "beta": 4.0 * math.pi,
+    # config key -> (LinkGeometry field, parser, default)
+    "n_tx": ("n_tx", int, 10),
+    "n_rx": ("n_rx", int, 10),
+    "radius_tx_m": ("radius_tx", float, 0.1),
+    "radius_rx_m": ("radius_rx", float, 0.1),
+    "distance_m": ("center_distance", float, 1.0),
+    "theta_rad": ("bearing_theta", float, 0.0),
+    "phi_rad": ("tilt_phi", float, 0.0),
+    "alpha_tx_rad": ("offset_alpha_tx", float, 0.0),
+    "alpha_rx_rad": ("offset_alpha_rx", float, 0.0),
+    "wavelength_m": ("wavelength", float, 0.1),
+    "beta": ("beta", float, 4.0 * math.pi),
 }
 
 _BUDGET_DEFAULTS = {"mode_power": 1.0, "noise_variance": 0.01, "seed": 1}
@@ -171,10 +150,10 @@ def parse_config(text: str) -> RunConfig:
         for key in parser.options("geometry"):
             if key not in _GEOMETRY_KEYS:
                 raise ValidationError(key, "unknown geometry key")
-    geometry_kwargs = {}
-    for key, (fieldname, cast) in _GEOMETRY_KEYS.items():
-        geometry_kwargs[fieldname] = read("geometry", key, cast, _GEOMETRY_DEFAULTS[key])
-    geometry = LinkGeometry(**geometry_kwargs)
+    geometry = LinkGeometry(**{
+        fieldname: read("geometry", key, cast, default)
+        for key, (fieldname, cast, default) in _GEOMETRY_KEYS.items()
+    })
 
     if parser.has_section("budget"):
         for key in parser.options("budget"):
@@ -221,21 +200,9 @@ def parse_config(text: str) -> RunConfig:
 def render_config(config: RunConfig) -> str:
     """Emit a RunConfig as config text; parsing it back yields an equal config."""
     g = config.geometry
-    reverse = {
-        "n_tx": g.n_tx,
-        "n_rx": g.n_rx,
-        "radius_tx_m": g.radius_tx,
-        "radius_rx_m": g.radius_rx,
-        "distance_m": g.center_distance,
-        "theta_rad": g.bearing_theta,
-        "phi_rad": g.tilt_phi,
-        "alpha_tx_rad": g.offset_alpha_tx,
-        "alpha_rx_rad": g.offset_alpha_rx,
-        "wavelength_m": g.wavelength,
-        "beta": g.beta,
-    }
     lines = ["[geometry]"]
-    lines += [f"{key} = {value!r}" for key, value in reverse.items()]
+    lines += [f"{key} = {getattr(g, fieldname)!r}"
+              for key, (fieldname, _, _) in _GEOMETRY_KEYS.items()]
     lines += [
         "",
         "[budget]",
@@ -260,29 +227,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12e}"
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("VORTEX_UCA_THREADS", "").strip()
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValidationError("VORTEX_UCA_THREADS", f"not an integer: {raw!r}") from None
-        if workers < 1:
-            raise ValidationError("VORTEX_UCA_THREADS", "must be >= 1")
-        return workers
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_grid(fn, values):
-    """Apply fn across grid values, possibly in parallel, preserving order."""
-    values = list(values)
-    workers = min(_max_workers(), max(1, len(values)))
-    if workers == 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
 
 
 def _write_csv(path: str, subcommand: str, config: RunConfig, notes, header, rows) -> None:
@@ -355,28 +299,18 @@ def run_error_sweep(config: RunConfig, out_path: str) -> None:
             raise ValidationError("sweep", f"element-count grid must be even integers, got {value}")
         sizes.append(int(rounded))
 
-    def at_size(n: int):
+    rows, notes = [], []
+    for n in sizes:
         geom = dataclasses.replace(config.geometry, n_tx=n, n_rx=n)
         modes = mode_index_set(geom)
-        rows, skipped = [], []
+        kept = [mode for mode in range(0, 9) if mode in modes]
         for mode in range(0, 9):
             if mode not in modes:
-                skipped.append((n, mode))
-                continue
-            worst = max(
-                approximation_error(m, mode, geom) for m in range(1, geom.n_rx + 1)
-            )
-            rows.append((n, mode, worst))
-        return rows, skipped
-
-    results = _map_grid(at_size, sizes)
-    rows = [row for chunk, _ in results for row in chunk]
-    notes = []
-    for _, skipped in results:
-        for n, mode in skipped:
-            notes.append(f"excluded: mode {mode} outside the mode set of n_elements={n}")
-            print(f"note: mode {mode} outside the mode set of n_elements={n}; skipped",
-                  file=sys.stderr)
+                notes.append(f"excluded: mode {mode} outside the mode set of n_elements={n}")
+                print(f"note: mode {mode} outside the mode set of n_elements={n}; skipped",
+                      file=sys.stderr)
+        for mode, error in zip(kept, worst_approximation_error(geom, kept)):
+            rows.append((n, mode, error))
     _write_csv(out_path, "error-sweep", config, notes,
                ("n_elements", "mode", "log10_error"), rows)
 
@@ -390,27 +324,20 @@ def run_gain_sweep(config: RunConfig, variable: str, out_path: str) -> None:
     panels = [m for m in _GAIN_PANELS if m <= geometry.n_rx]
     modes = mode_index_set(geometry)
 
-    def at_angle(angle: float):
-        geom = dataclasses.replace(geometry, **{fieldname: float(angle)})
-        rows, gaps = [], []
+    rows, notes = [], []
+    for angle in map(float, sweep.grid()):
+        geom = dataclasses.replace(geometry, **{fieldname: angle})
+        try:
+            gains = np.abs(mode_channel_matrix(geom, method="closed").entries)
+        except DegenerateGeometry:
+            gains = None
         for m in panels:
-            for mode in modes:
-                try:
-                    gain = abs(mode_gain_closed(m, mode, geom))
-                except DegenerateGeometry:
-                    gain = math.nan
-                    gaps.append((float(angle), m, mode))
-                rows.append((float(angle), m, mode, gain))
-        return rows, gaps
-
-    results = _map_grid(at_angle, sweep.grid())
-    rows = [row for chunk, _ in results for row in chunk]
-    notes = []
-    for _, gaps in results:
-        for angle, m, mode in gaps:
-            notes.append(f"gap: degenerate geometry at angle={angle!r} m={m} mode={mode}")
-            print(f"note: degenerate geometry at angle={angle!r} m={m} mode={mode}",
-                  file=sys.stderr)
+            for i, mode in enumerate(modes):
+                if gains is None:
+                    notes.append(f"gap: degenerate geometry at angle={angle!r} m={m} mode={mode}")
+                    print(f"note: degenerate geometry at angle={angle!r} m={m} mode={mode}",
+                          file=sys.stderr)
+                rows.append((angle, m, mode, math.nan if gains is None else gains[m - 1, i]))
     subcommand = f"gain-vs-{variable}"
     _write_csv(out_path, subcommand, config, notes,
                ("angle_rad", "m", "mode", "gain"), rows)
@@ -422,12 +349,8 @@ def run_se_sweep(config: RunConfig, out_path: str) -> None:
     _check_angle_grid(sweep)
     geometry = config.geometry
     budget = LinkBudget.uniform(geometry, config.mode_power, config.noise_variance, config.seed)
-    point_lists = _map_grid(
-        lambda value: se_sweep(geometry, "phi", [value], budget), sweep.grid()
-    )
-    points = [chunk[0] for chunk in point_lists]
     rows, notes = [], []
-    for point in points:
+    for point in se_sweep(geometry, "phi", sweep.grid(), budget):
         if point.spectrum_efficiency is None:
             notes.append(f"gap: unevaluable point at phi={point.value!r}")
             print(f"note: unevaluable point at phi={point.value!r}", file=sys.stderr)

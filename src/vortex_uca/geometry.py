@@ -73,11 +73,10 @@ class LinkGeometry:
             _require(isinstance(value, (int, np.integer)), name, "must be an integer")
             object.__setattr__(self, name, int(value))
             _require(getattr(self, name) >= 1, name, "must be >= 1")
-        _require(self.radius_tx > 0.0, "radius_tx", "must be > 0")
-        _require(self.radius_rx > 0.0, "radius_rx", "must be > 0")
-        _require(self.center_distance > 0.0, "center_distance", "must be > 0")
-        _require(self.wavelength > 0.0, "wavelength", "must be > 0")
-        _require(self.beta > 0.0, "beta", "must be > 0")
+        for name in ("radius_tx", "radius_rx", "center_distance", "wavelength", "beta"):
+            value = getattr(self, name)
+            _require(math.isfinite(value), name, "must be finite")
+            _require(value > 0.0, name, "must be > 0")
         for name in ("bearing_theta", "tilt_phi", "offset_alpha_tx", "offset_alpha_rx"):
             value = getattr(self, name)
             _require(math.isfinite(value), name, "must be finite")

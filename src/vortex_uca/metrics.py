@@ -11,7 +11,6 @@ import numpy as np
 from .channel import mode_gain_factors
 from .errors import DegenerateGeometry, LengthMismatch, ModeUnobservable
 from .geometry import LinkGeometry, mode_index_set
-from .specfun import bessel_j
 from .transceiver import INVERSION_TOL, NoiseModel
 
 _SWEEP_FIELDS = {
@@ -56,20 +55,28 @@ class SweepPoint:
     spectrum_efficiency: float | None
 
 
-def aggregate_noise_variance(mode: int, geometry: LinkGeometry, noise: NoiseModel) -> float:
-    """Noise variance of the summed per-mode output: sum of sigma_m^2 / |c_{m,mode}|^2."""
+def _aggregate_variances(geometry: LinkGeometry, noise: NoiseModel, modes) -> np.ndarray:
+    """Per-mode noise variance of the summed outputs: sum_m sigma_m^2 / |c_{m,l}|^2.
+
+    Raises :class:`ModeUnobservable` at the first (mode, element) pair, in
+    mode order, whose factor falls below the inversion threshold.
+    """
     g = geometry
     if len(noise.variances) != g.n_rx:
         raise LengthMismatch(
             f"{len(noise.variances)} noise variances for {g.n_rx} rx elements"
         )
-    f = mode_gain_factors(g)
-    c_abs = np.abs(bessel_j(mode, f.b_factor))  # unimodular prefactor drops out
+    c_abs = np.abs(mode_gain_factors(g).c_matrix(modes))
     small = c_abs < INVERSION_TOL
     if small.any():
-        m_idx = int(np.argmax(small))
-        raise ModeUnobservable(m_idx + 1, mode)
-    return float(np.sum(noise.variances / c_abs**2))
+        l_idx, m_idx = np.argwhere(small.T)[0]
+        raise ModeUnobservable(int(m_idx) + 1, int(modes[l_idx]))
+    return np.sum(noise.variances[:, None] / c_abs**2, axis=0)
+
+
+def aggregate_noise_variance(mode: int, geometry: LinkGeometry, noise: NoiseModel) -> float:
+    """Noise variance of the summed per-mode output: sum of sigma_m^2 / |c_{m,mode}|^2."""
+    return float(_aggregate_variances(geometry, noise, (mode,))[0])
 
 
 def spectrum_efficiency(geometry: LinkGeometry, budget: LinkBudget) -> float:
@@ -85,9 +92,9 @@ def spectrum_efficiency(geometry: LinkGeometry, budget: LinkBudget) -> float:
             f"{len(budget.mode_powers)} mode powers for {len(modes)} modes"
         )
     h_power = abs(mode_gain_factors(g).h_scalar) ** 2
+    variances = _aggregate_variances(g, budget.noise, modes.modes)
     total = 0.0
-    for power, mode in zip(budget.mode_powers, modes):
-        variance = aggregate_noise_variance(mode, g, budget.noise)
+    for power, variance in zip(budget.mode_powers, variances):
         if variance == 0.0:
             total += math.inf if power > 0 else 0.0
         else:

@@ -1,9 +1,10 @@
 """Integer-order Bessel functions of the first kind.
 
-Production evaluation uses the ascending power series for small arguments
-and the normalized backward recurrence (Miller's algorithm) for larger
-ones; both are self-contained so the direct trapezoidal quadrature of the
-defining integral stays available as a fully independent cross-check.
+Production evaluation is one normalized backward recurrence (Miller's
+algorithm, DLMF 3.6(iii)) that visits every order from its start index
+down to 0 and keeps each row, so a whole table J_0..J_L costs one pass.
+The direct trapezoidal quadrature of the defining integral stays available
+as a fully independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ from .errors import OrderOutOfRange
 
 MAX_ORDER = 64
 
-# Below this argument the alternating series loses at most ~2 digits to
-# cancellation; above it the backward recurrence takes over.
-_SERIES_ARG_LIMIT = 9.0
+# A lane is rescaled to about 1 before a recurrence step could push it
+# past this magnitude.
+_RESCALE_LIMIT = 1e250
+
+# Smaller arguments are evaluated here, which keeps 2k/x finite; every row
+# but J_0 = 1 is below 1e-300 in magnitude on both sides.
+_TINY_ARG = 1e-300
 
 _MIN_QUADRATURE_NODES = 1024
 
@@ -31,54 +36,67 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def _series(order: int, x: np.ndarray) -> np.ndarray:
-    """Ascending power series, valid for modest arguments (order >= 0)."""
-    half = 0.5 * x
-    term = half**order / math.factorial(order)
-    total = term.copy()
-    q = half * half
-    for k in range(1, 400):
-        term = term * (-q) / (k * (k + order))
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    return total
+def _finite(argument) -> np.ndarray:
+    x = np.asarray(argument, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("argument must be finite")
+    return x
 
 
-def _miller(order: int, x: np.ndarray) -> np.ndarray:
-    """Normalized backward recurrence (order >= 0, x > 0 elementwise).
+def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
+    """J_0..J_max_order at every x >= 0 of a 1-D array, shape (max_order+1, len(x)).
 
     Recurses J_{k-1} = (2k/x) J_k - J_{k+1} downward from a start index far
-    enough above max(order, x) that the seed error is negligible, then
-    normalizes with J_0 + 2*sum(J_even) = 1.
+    enough above max(max_order, x) that the seed error is negligible, keeps
+    every row at or below max_order, then normalizes with
+    J_0 + 2*sum(J_even) = 1.  x = 0 is exact: J_0 = 1 and every other row 0.
     """
-    top = float(np.max(x))
-    start = int(max(order, math.ceil(top))) + 20 + int(4.0 * math.sqrt(max(order, top)))
+    zero = x == 0.0
+    x = np.maximum(x, _TINY_ARG)
+    top = float(np.max(x, initial=_TINY_ARG))
+    start = int(max(max_order, math.ceil(top))) + 20 + int(4.0 * math.sqrt(max(max_order, top)))
+    rows = np.zeros((max_order + 1, len(x)))
     above = np.zeros_like(x)
-    current = np.full_like(x, 1e-30)
-    norm = np.zeros_like(x)
-    result = np.zeros_like(x)
-    if start % 2 == 0:
-        norm += 2.0 * current
+    current = np.ones_like(x)
+    norm = 2.0 * current if start % 2 == 0 else np.zeros_like(x)
     for k in range(start, 0, -1):
-        below = (2.0 * k) / x * current - above
-        above = current
-        current = below
-        k_below = k - 1
-        # Rescale lanes that grew too large; every accumulator is linear
-        # in the seed, so per-element scaling is exact.
-        big = np.abs(current) > 1e250
-        if big.any():
-            scale = np.where(big, 1e-250, 1.0)
+        step = (2.0 * k) / x
+        # Every accumulator is linear in the seed, so a power-of-two
+        # rescale of one lane is exact (tiny stored rows may underflow to 0,
+        # where they belong).
+        risky = np.abs(current) > _RESCALE_LIMIT / step
+        if risky.any():
+            scale = np.where(risky, np.ldexp(1.0, -np.frexp(current)[1]), 1.0)
             current *= scale
             above *= scale
             norm *= scale
-            result *= scale
-        if k_below == order:
-            result = current.copy()
-        if k_below % 2 == 0:
-            norm += current if k_below == 0 else 2.0 * current
-    return result / norm
+            rows[k:] *= scale
+        above, current = current, step * current - above
+        if k - 1 <= max_order:
+            rows[k - 1] = current
+        if (k - 1) % 2 == 0:
+            norm += current if k == 1 else 2.0 * current
+    rows /= norm
+    rows[:, zero] = 0.0
+    rows[0, zero] = 1.0
+    return rows
+
+
+def bessel_table(max_order: int, argument) -> np.ndarray:
+    """J_0..J_max_order at ``argument`` from one recurrence pass.
+
+    Row l of the result holds J_l evaluated at ``argument`` (scalar or
+    ndarray of reals), so the result has shape (max_order+1,) + shape.
+    Negative arguments fold through J_l(-x) = (-1)^l J_l(x).
+    """
+    max_order = _check_order(max_order)
+    if max_order < 0:
+        raise OrderOutOfRange(f"max_order must be >= 0, got {max_order}")
+    x = _finite(argument)
+    flat = x.ravel()
+    table = _rows(max_order, np.abs(flat))
+    table[1::2, flat < 0] *= -1.0
+    return table.reshape((max_order + 1,) + x.shape)
 
 
 def bessel_j(order: int, argument):
@@ -88,9 +106,7 @@ def bessel_j(order: int, argument):
     the parity relation J_{-l}(x) = (-1)^l J_l(x) = J_l(-x).
     """
     order = _check_order(order)
-    x = np.asarray(argument, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite")
+    x = _finite(argument)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
 
@@ -99,15 +115,7 @@ def bessel_j(order: int, argument):
         order = -order
         sign = -1.0 if order % 2 else 1.0
     flip = np.where((x < 0) & (order % 2 == 1), -1.0, 1.0)
-    ax = np.abs(x)
-
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_ARG_LIMIT
-    if small.any():
-        out[small] = _series(order, ax[small])
-    large = ~small
-    if large.any():
-        out[large] = _miller(order, ax[large])
+    out = _rows(order, np.abs(x).ravel())[order].reshape(x.shape)
     out *= sign * flip
 
     return float(out[0]) if scalar else out.reshape(np.shape(argument))

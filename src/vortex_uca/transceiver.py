@@ -17,7 +17,6 @@ import numpy as np
 from .channel import ChannelMatrix, ModeChannelMatrix, mode_channel_matrix, mode_gain_factors
 from .errors import LengthMismatch, ModeUnobservable
 from .geometry import TWO_PI, LinkGeometry, ModeIndexSet, mode_index_set
-from .specfun import bessel_j
 
 # Per-mode inversion refuses gain factors smaller than this.
 INVERSION_TOL = 1e-12
@@ -118,6 +117,17 @@ def synthesize_transmit(symbols: ModeSymbolVector, geometry: LinkGeometry) -> El
     return ElementSignalVector(samples=samples, side="tx")
 
 
+def _received(
+    samples: np.ndarray, n_rx: int, noise: NoiseModel | None, trial: int
+) -> ElementSignalVector:
+    """Receive-side vector: noiseless ``samples`` plus the trial's noise draw, if any."""
+    if noise is not None:
+        if len(noise.variances) != n_rx:
+            raise LengthMismatch(f"{len(noise.variances)} noise variances for {n_rx} rx elements")
+        samples = samples + noise.sample(trial)
+    return ElementSignalVector(samples=samples, side="rx")
+
+
 def propagate(
     tx: ElementSignalVector,
     channel: ChannelMatrix,
@@ -129,14 +139,7 @@ def propagate(
         raise LengthMismatch("propagate expects a tx-side signal")
     if len(tx) != channel.n_tx:
         raise LengthMismatch(f"{len(tx)} tx samples into a {channel.n_tx}-column channel")
-    samples = channel.entries @ tx.samples
-    if noise is not None:
-        if len(noise.variances) != channel.n_rx:
-            raise LengthMismatch(
-                f"{len(noise.variances)} noise variances for {channel.n_rx} rx elements"
-            )
-        samples = samples + noise.sample(trial)
-    return ElementSignalVector(samples=samples, side="rx")
+    return _received(channel.entries @ tx.samples, channel.n_rx, noise, trial)
 
 
 def propagate_mode_model(
@@ -148,14 +151,7 @@ def propagate_mode_model(
     """Receive-side samples under the per-mode gain model: y = H~ s (+ z)."""
     if symbols.modes != mode_matrix.modes:
         raise LengthMismatch("symbol modes do not match mode-matrix modes")
-    samples = mode_matrix.entries @ symbols.symbols
-    if noise is not None:
-        if len(noise.variances) != mode_matrix.n_rx:
-            raise LengthMismatch(
-                f"{len(noise.variances)} noise variances for {mode_matrix.n_rx} rx elements"
-            )
-        samples = samples + noise.sample(trial)
-    return ElementSignalVector(samples=samples, side="rx")
+    return _received(mode_matrix.entries @ symbols.symbols, mode_matrix.n_rx, noise, trial)
 
 
 @lru_cache(maxsize=256)
@@ -165,9 +161,7 @@ def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, ModeIndexSet]:
     f = mode_gain_factors(g)
     modes = mode_index_set(g)
     mode_arr = np.array(modes.modes)
-    # c_{m,l} = prefactor_m * J_l(b_m), tabulated for every (element, mode).
-    bessel_table = np.column_stack([bessel_j(int(l), f.b_factor) for l in mode_arr])
-    c = f.c_prefactor[:, None] * bessel_table
+    c = f.c_matrix(mode_arr)
     too_small = np.abs(c) < INVERSION_TOL
     if too_small.any():
         m_idx, l_idx = np.argwhere(too_small)[0]

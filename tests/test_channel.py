@@ -194,6 +194,22 @@ def test_factor_structure_unimodular_prefactor():
         assert abs(f.c_factor(m, mode)) == pytest.approx(expected, rel=5e-16, abs=1e-300)
 
 
+def test_c_matrix_matches_c_factor():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = random_geometry(rng)
+        try:
+            f = v.mode_gain_factors(g)
+        except v.DegenerateGeometry:
+            continue
+        modes = v.mode_index_set(g)
+        c = f.c_matrix(modes)
+        assert c.shape == (g.n_rx, len(modes))
+        for m in range(1, g.n_rx + 1):
+            for i, mode in enumerate(modes):
+                assert c[m - 1, i] == pytest.approx(f.c_factor(m, mode), rel=1e-12, abs=1e-14)
+
+
 def test_approximation_error_small_for_default_size():
     # relative to the gain scale |h| ~ 0.31, every mode's error is < 1e-3
     g = reference_geometry()
@@ -205,6 +221,27 @@ def test_approximation_error_small_for_default_size():
 def test_approximation_error_single_element_is_large():
     g = v.LinkGeometry(n_tx=1, n_rx=1, radius_tx=0.1, radius_rx=0.1, center_distance=1.0)
     assert v.approximation_error(1, 0, g) == pytest.approx(-1.2333550624, abs=1e-6)
+
+
+def test_worst_approximation_error_is_max_over_elements():
+    g = reference_geometry(tilt_phi=0.3)
+    modes = (-2, 0, 3)
+    worst = v.worst_approximation_error(g, modes)
+    for mode, err in zip(modes, worst):
+        expected = max(v.approximation_error(m, mode, g) for m in range(1, g.n_rx + 1))
+        assert err == pytest.approx(expected, abs=1e-3)
+
+
+def test_mode_gain_closed_beyond_max_bessel_order():
+    # 130 elements carry mode 65, past the Bessel table's order limit: the
+    # whole matrix is out of reach, single gains of lower modes are not.
+    g = reference_geometry(n_tx=130, n_rx=130, tilt_phi=0.3)
+    with pytest.raises(v.OrderOutOfRange):
+        v.mode_channel_matrix(g, method="closed")
+    for m, mode in ((1, 0), (1, 1), (77, -64)):
+        closed = v.mode_gain_closed(m, mode, g)
+        assert closed == pytest.approx(v.mode_gain_direct(m, mode, g), rel=1e-9, abs=1e-14)
+    assert v.approximation_error(1, 0, g) < -11.0
 
 
 def test_approximation_error_shrinks_with_array_size():

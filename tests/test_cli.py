@@ -107,6 +107,16 @@ def test_error_sweep_rejects_odd_sizes(tmp_path, capsys):
     assert "even integers" in capsys.readouterr().err
 
 
+def test_error_sweep_beyond_max_bessel_order(tmp_path):
+    # 130 elements carry mode 65, past the Bessel order limit; the sweep
+    # only reads modes 0..8
+    out = tmp_path / "err.csv"
+    assert run_cli("error-sweep", "--out", str(out), "--grid", "130:130:1") == 0
+    _, _, rows = read_rows(out)
+    assert [(r[0], r[1]) for r in rows] == [("130", str(k)) for k in range(9)]
+    assert all(float(r[2]) < -10.0 for r in rows)
+
+
 def test_error_sweep_values_drop_with_size(tmp_path):
     out = tmp_path / "err.csv"
     assert run_cli("error-sweep", "--out", str(out), "--grid", "8:32:2") == 0
@@ -268,16 +278,23 @@ def test_demux_demo_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    out = tmp_path / "se.csv"
-    monkeypatch.setenv("VORTEX_UCA_THREADS", "2")
-    assert run_cli("se-vs-phi", "--out", str(out), "--grid", "0:1.0:5") == 0
-    monkeypatch.setenv("VORTEX_UCA_THREADS", "1")
-    single = tmp_path / "single.csv"
-    assert run_cli("se-vs-phi", "--out", str(single), "--grid", "0:1.0:5") == 0
-    assert out.read_bytes() == single.read_bytes()
-    monkeypatch.setenv("VORTEX_UCA_THREADS", "0")
-    assert run_cli("se-vs-phi", "--out", str(out), "--grid", "0:1.0:5") == 1
+@pytest.mark.parametrize(
+    "subcommand,line,field",
+    [
+        ("se-vs-phi", "distance_m = inf", "center_distance"),
+        ("se-vs-phi", "beta = inf", "beta"),
+        ("gain-vs-phi", "radius_tx_m = nan", "radius_tx"),
+        ("demux-demo", "wavelength_m = -inf", "wavelength"),
+    ],
+)
+def test_non_finite_geometry_is_an_error_line(tmp_path, capsys, subcommand, line, field):
+    config = tmp_path / "c.ini"
+    config.write_text(f"[geometry]\n{line}\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: must be finite") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_config_file_fails(tmp_path, capsys):

@@ -208,6 +208,11 @@ def test_zeta_degenerate_raises():
         ("beta", 0.0),
         ("tilt_phi", 2.0),
         ("tilt_phi", -0.1),  # wraps to ~6.18, outside [0, pi/2]
+    ]
+    + [
+        (field, value)
+        for field in ("radius_tx", "radius_rx", "center_distance", "wavelength", "beta")
+        for value in (math.inf, math.nan)
     ],
 )
 def test_construction_rejects_invalid(field, value):

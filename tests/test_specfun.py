@@ -110,3 +110,53 @@ def test_invalid_inputs_rejected():
         v.bessel_j_quadrature(1, 1.0, 512)
     with pytest.raises(ValueError):
         v.bessel_j_quadrature(1, 1.0, 4096.0)
+
+
+def test_table_at_zero():
+    table = v.bessel_table(8, 0.0)
+    assert table.shape == (9,)
+    assert table[0] == 1.0 and np.all(table[1:] == 0.0)
+
+
+def test_table_at_tiny_argument():
+    table = v.bessel_table(4, 1e-300)
+    assert table[0] == 1.0
+    assert table[1] == pytest.approx(5e-301, rel=1e-15)
+    assert np.all(table[2:] == 0.0)
+    # Subnormal arguments stay finite, within 1e-300 of the true rows.
+    expected = np.zeros((5, 2))
+    expected[0] = 1.0
+    np.testing.assert_allclose(v.bessel_table(4, [1e-310, 5e-324]), expected, rtol=0, atol=1e-300)
+
+
+def test_table_negative_argument_parity():
+    xs = np.linspace(0.0, 30.0, 61)
+    positive, negative = v.bessel_table(9, xs), v.bessel_table(9, -xs)
+    signs = (-1.0) ** np.arange(10)
+    np.testing.assert_array_equal(negative, signs[:, None] * positive)
+
+
+def test_table_rows_match_scipy():
+    xs = np.concatenate([[0.0, 1e-300, 1e-12, 1e-3], np.linspace(0.01, 120.0, 1201)])
+    table = v.bessel_table(64, xs)
+    assert table.shape == (65, len(xs))
+    np.testing.assert_allclose(table, scipy_jv(np.arange(65)[:, None], xs), rtol=0, atol=1e-13)
+
+
+def test_table_rows_match_quadrature():
+    xs = np.linspace(0.0, 20.0, 21)
+    table = v.bessel_table(12, xs)
+    for order in (0, 1, 4, 12):
+        np.testing.assert_allclose(
+            table[order], v.bessel_j_quadrature(order, xs, 8192), rtol=0, atol=1e-12
+        )
+
+
+def test_table_order_checks():
+    assert v.bessel_table(0, [1.0, 2.0]).shape == (1, 2)
+    with pytest.raises(v.OrderOutOfRange):
+        v.bessel_table(65, 1.0)
+    with pytest.raises(v.OrderOutOfRange):
+        v.bessel_table(-1, 1.0)
+    with pytest.raises(ValueError):
+        v.bessel_table(3, [1.0, float("nan")])
