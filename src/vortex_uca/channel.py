@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CaseMismatch
+from .errors import CaseMismatch, ModeUnobservable
 from .geometry import (
     TWO_PI,
     LinkGeometry,
@@ -38,6 +38,9 @@ from .specfun import MAX_ORDER, bessel_j, bessel_table
 
 # Magnitudes below this floor only matter to the error metric's log.
 _LOG_FLOOR = 1e-300
+
+# Per-mode inversion refuses gain factors smaller than this.
+INVERSION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +125,8 @@ def mode_gain_factors(geometry: LinkGeometry) -> ModeGainFactors:
     amplitude = g.beta * g.wavelength / (4.0 * math.pi * srange)
     carrier = cmath.exp(-2j * math.pi * srange / g.wavelength)
 
-    zetas = np.array([zeta(m, g) for m in range(1, g.n_rx + 1)])
-    psi = TWO_PI * np.arange(g.n_rx) / g.n_rx
-    bearing_gap = psi + g.offset_alpha_rx - g.bearing_theta
+    zetas = zeta(None, g)
+    bearing_gap = g.rx_angles() - g.bearing_theta
     inplane = g.center_distance * math.sin(g.tilt_phi)
     spread = np.sqrt(
         g.radius_rx**2 + inplane**2 - 2.0 * g.radius_rx * inplane * np.cos(bearing_gap)
@@ -139,19 +141,19 @@ def mode_gain_factors(geometry: LinkGeometry) -> ModeGainFactors:
     return ModeGainFactors(h_scalar=h, a_factor=a, b_factor=b, c_prefactor=prefactor, zeta=zetas)
 
 
-def exact_channel_gain(m: int, n: int, geometry: LinkGeometry) -> complex:
+def exact_channel_gain(m, n, geometry: LinkGeometry) -> np.ndarray:
     """Spherical-wave gain from tx element n to rx element m."""
     g = geometry
     dist = exact_distance(m, n, g)
     return (
         g.beta
         * g.wavelength
-        * cmath.exp(-2j * math.pi * dist / g.wavelength)
+        * np.exp(-2j * math.pi * dist / g.wavelength)
         / (4.0 * math.pi * dist)
     )
 
 
-def farfield_channel_gain(m: int, n: int, geometry: LinkGeometry) -> complex:
+def farfield_channel_gain(m, n, geometry: LinkGeometry) -> np.ndarray:
     """Far-field model gain from tx element n to rx element m.
 
     Constant magnitude beta*lambda/(4*pi*range) with a phase sinusoidal in
@@ -160,23 +162,10 @@ def farfield_channel_gain(m: int, n: int, geometry: LinkGeometry) -> complex:
     """
     g = geometry
     f = mode_gain_factors(g)
-    azimuth_gap = (
-        g.tx_base_angle(n)
-        + g.offset_alpha_tx
-        - g.rx_base_angle(m)
-        - g.offset_alpha_rx
-        + f.zeta[m - 1]
-    )
-    return complex(f.a_factor[m - 1] * cmath.exp(-1j * f.b_factor[m - 1] * math.sin(azimuth_gap)))
-
-
-def _farfield_row(m: int, geometry: LinkGeometry) -> np.ndarray:
-    """Far-field gains from every tx element to rx element m (vectorized)."""
-    g = geometry
-    f = mode_gain_factors(g)
-    phi_n = TWO_PI * np.arange(g.n_tx) / g.n_tx + g.offset_alpha_tx
-    gap = phi_n - g.rx_base_angle(m) - g.offset_alpha_rx + f.zeta[m - 1]
-    return f.a_factor[m - 1] * np.exp(-1j * f.b_factor[m - 1] * np.sin(gap))
+    i = np.asarray(m) - 1
+    # rx_angles checks m before f.zeta[i] is read.
+    gap = g.tx_angles(n) - g.rx_angles(m) + f.zeta[i]
+    return f.a_factor[i] * np.exp(-1j * f.b_factor[i] * np.sin(gap))
 
 
 def mode_gain_direct(m: int, mode: int, geometry: LinkGeometry) -> complex:
@@ -186,7 +175,7 @@ def mode_gain_direct(m: int, mode: int, geometry: LinkGeometry) -> complex:
     of ``mode`` and normalizes by sqrt(N).
     """
     g = geometry
-    row = _farfield_row(m, g)
+    row = farfield_channel_gain(m, np.arange(1, g.n_tx + 1), g)
     ramp = np.exp(1j * TWO_PI * np.arange(g.n_tx) * mode / g.n_tx)
     return complex(np.sum(row * ramp) / math.sqrt(g.n_tx))
 
@@ -196,9 +185,20 @@ def _closed_gains(geometry: LinkGeometry, modes) -> np.ndarray:
     g = geometry
     f = mode_gain_factors(g)
     l = np.array(tuple(modes))
-    psi = TWO_PI * np.arange(g.n_rx) / g.n_rx
-    phase = (psi[:, None] + g.offset_alpha_rx - f.zeta[:, None]) * l
+    phase = (g.rx_angles()[:, None] - f.zeta[:, None]) * l
     return f.h_scalar * np.exp(1j * phase) * f.c_matrix(l)
+
+
+def _check_invertible(c_abs: np.ndarray, modes) -> None:
+    """Refuse factor magnitudes ``c_abs`` (rx elements by ``modes``) below INVERSION_TOL.
+
+    Raises :class:`ModeUnobservable` at the first (mode, element) pair, in
+    mode order, that falls below the threshold.
+    """
+    small = c_abs < INVERSION_TOL
+    if small.any():
+        l_idx, m_idx = np.argwhere(small.T)[0]
+        raise ModeUnobservable(int(m_idx) + 1, int(modes[l_idx]))
 
 
 def mode_gain_closed(m: int, mode: int, geometry: LinkGeometry) -> complex:
@@ -209,7 +209,7 @@ def mode_gain_closed(m: int, mode: int, geometry: LinkGeometry) -> complex:
     set then equals its entry of :func:`mode_channel_matrix` bit for bit.
     """
     g = geometry
-    g._check_rx_index(m)
+    g.rx_angles(m)  # the index check
     top = max(abs(l) for l in mode_index_set(g))
     columns = (mode, top) if top <= MAX_ORDER else (mode,)
     return complex(_closed_gains(g, columns)[m - 1, 0])
@@ -227,7 +227,7 @@ def mode_gain_aligned(m: int, mode: int, geometry: LinkGeometry) -> complex:
     srange = g.farfield_range
     b = TWO_PI * g.radius_tx * g.radius_rx / (g.wavelength * srange)
     f = mode_gain_factors(g)
-    phase = (g.rx_base_angle(m) + g.offset_alpha_rx - 0.5 * math.pi) * mode
+    phase = (g.rx_angles(m) - 0.5 * math.pi) * mode
     return complex(f.h_scalar * bessel_j(mode, b) * cmath.exp(1j * phase))
 
 
@@ -245,9 +245,9 @@ def coplanar_factors(m: int, mode: int, geometry: LinkGeometry) -> tuple[float, 
             "coplanar case requires bearing_theta == offset_alpha_rx "
             f"(got {g.bearing_theta} vs {g.offset_alpha_rx})"
         )
-    g._check_rx_index(m)
     srange = g.farfield_range
-    psi = g.rx_base_angle(m)
+    # With the bearing on the rx offset, the bearing gap is the base angle.
+    psi = g.rx_angles(m) - g.bearing_theta
     spread = math.sqrt(
         g.radius_rx**2
         + g.center_distance**2
@@ -276,19 +276,19 @@ def approximation_error(m: int, mode: int, geometry: LinkGeometry) -> float:
 def worst_approximation_error(geometry: LinkGeometry, modes) -> list[float]:
     """Largest :func:`approximation_error` over the rx elements, per mode.
 
-    The closed-form gains of all ``modes`` come from one Bessel table.
+    The closed-form gains of all ``modes`` come from one Bessel table, the
+    direct sums from one far-field matrix times the transmit phase ramps.
     """
     g = geometry
-    closed = _closed_gains(g, modes)
-    return [
-        _log_error(max(abs(closed[m - 1, i] - mode_gain_direct(m, mode, g))
-                       for m in range(1, g.n_rx + 1)))
-        for i, mode in enumerate(modes)
-    ]
+    l = np.array(tuple(modes))
+    ramps = np.exp(1j * TWO_PI * np.arange(g.n_tx)[:, None] * l / g.n_tx)
+    direct = channel_matrix(g, "farfield").entries @ ramps / math.sqrt(g.n_tx)
+    worst = np.max(np.abs(_closed_gains(g, l) - direct), axis=0)
+    return [_log_error(diff) for diff in worst]
 
 
 def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> ChannelMatrix:
-    """Assemble the full element-to-element gain matrix."""
+    """Assemble the full element-to-element gain matrix in one call on index grids."""
     g = geometry
     if variant == "exact":
         gain = exact_channel_gain
@@ -296,9 +296,7 @@ def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> ChannelMat
         gain = farfield_channel_gain
     else:
         raise ValueError(f"unknown channel variant {variant!r}")
-    entries = np.array(
-        [[gain(m, n, g) for n in range(1, g.n_tx + 1)] for m in range(1, g.n_rx + 1)]
-    )
+    entries = gain(np.arange(1, g.n_rx + 1)[:, None], np.arange(1, g.n_tx + 1), g)
     entries.setflags(write=False)
     return ChannelMatrix(entries=entries, variant=variant)
 

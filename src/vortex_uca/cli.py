@@ -40,33 +40,54 @@ from .transceiver import (
     synthesize_transmit,
 )
 
-_GEOMETRY_KEYS = {
-    # config key -> (LinkGeometry field, parser, default)
-    "n_tx": ("n_tx", int, 10),
-    "n_rx": ("n_rx", int, 10),
-    "radius_tx_m": ("radius_tx", float, 0.1),
-    "radius_rx_m": ("radius_rx", float, 0.1),
-    "distance_m": ("center_distance", float, 1.0),
-    "theta_rad": ("bearing_theta", float, 0.0),
-    "phi_rad": ("tilt_phi", float, 0.0),
-    "alpha_tx_rad": ("offset_alpha_tx", float, 0.0),
-    "alpha_rx_rad": ("offset_alpha_rx", float, 0.0),
-    "wavelength_m": ("wavelength", float, 0.1),
-    "beta": ("beta", float, 4.0 * math.pi),
+_CONFIG_KEYS = {
+    # section -> config key -> (field, parser, default); the field belongs to
+    # LinkGeometry, RunConfig and SweepSpec in turn.  A [sweep] section needs
+    # every key, so its keys have no default.
+    "geometry": {
+        "n_tx": ("n_tx", int, 10),
+        "n_rx": ("n_rx", int, 10),
+        "radius_tx_m": ("radius_tx", float, 0.1),
+        "radius_rx_m": ("radius_rx", float, 0.1),
+        "distance_m": ("center_distance", float, 1.0),
+        "theta_rad": ("bearing_theta", float, 0.0),
+        "phi_rad": ("tilt_phi", float, 0.0),
+        "alpha_tx_rad": ("offset_alpha_tx", float, 0.0),
+        "alpha_rx_rad": ("offset_alpha_rx", float, 0.0),
+        "wavelength_m": ("wavelength", float, 0.1),
+        "beta": ("beta", float, 4.0 * math.pi),
+    },
+    "budget": {
+        "mode_power": ("mode_power", float, 1.0),
+        "noise_variance": ("noise_variance", float, 0.01),
+        "seed": ("seed", int, 1),
+    },
+    "sweep": {
+        "variable": ("variable", str, None),
+        "start": ("start", float, None),
+        "stop": ("stop", float, None),
+        "steps": ("steps", int, None),
+    },
 }
-
-_BUDGET_DEFAULTS = {"mode_power": 1.0, "noise_variance": 0.01, "seed": 1}
 
 _SWEEP_VARIABLES = ("phi", "theta", "n_elements")
 
 HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
 
-_DEFAULT_SWEEPS = {
-    "error-sweep": ("n_elements", 4.0, 32.0, 15),
-    "gain-vs-phi": ("phi", 0.0, HALF_PI, 91),
-    "gain-vs-theta": ("theta", 0.0, TWO_PI * 71.0 / 72.0, 72),
-    "se-vs-phi": ("phi", 0.0, HALF_PI, 121),
+_SUBCOMMANDS = {
+    # name -> (help, runner, default sweep or None when it takes no grid).
+    # Runners are named, not held, so main calls whatever the module binds
+    # to that name when it runs (a wrapper installed by a profiler included).
+    "error-sweep": ("closed-form approximation error vs array size",
+                    "run_error_sweep", ("n_elements", 4.0, 32.0, 15)),
+    "gain-vs-phi": ("per-mode amplitude gain vs tilt angle",
+                    "run_gain_sweep", ("phi", 0.0, HALF_PI, 91)),
+    "gain-vs-theta": ("per-mode amplitude gain vs bearing angle",
+                      "run_gain_sweep", ("theta", 0.0, TWO_PI * 71.0 / 72.0, 72)),
+    "se-vs-phi": ("spectrum efficiency vs tilt angle",
+                  "run_se_sweep", ("phi", 0.0, HALF_PI, 121)),
+    "demux-demo": ("round-trip demultiplexing demonstration", "run_demux_demo", None),
 }
 
 # The bearing sweep is run at a tilted link by default (a coaxial link has
@@ -127,99 +148,62 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
 
-    known_sections = {"geometry", "budget", "sweep"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _CONFIG_KEYS:
             raise ValidationError(section, "unknown config section")
+        for key in parser.options(section):
+            if key not in _CONFIG_KEYS[section]:
+                raise ValidationError(key, f"unknown {section} key")
 
     defaulted: list[str] = []
 
-    def read(section: str, key: str, cast, default):
-        if parser.has_option(section, key):
+    def read(section: str) -> dict:
+        values = {}
+        for key, (fieldname, cast, default) in _CONFIG_KEYS[section].items():
+            if not parser.has_option(section, key):
+                defaulted.append(f"{section}.{key}")
+                values[fieldname] = default
+                continue
             raw = parser.get(section, key)
             try:
-                return cast(raw)
+                values[fieldname] = cast(raw)
             except ValueError:
                 raise ValidationError(
                     f"{section}.{key}", f"cannot parse {raw!r} as {cast.__name__}"
                 ) from None
-        defaulted.append(f"{section}.{key}")
-        return default
+        return values
 
-    if parser.has_section("geometry"):
-        for key in parser.options("geometry"):
-            if key not in _GEOMETRY_KEYS:
-                raise ValidationError(key, "unknown geometry key")
-    geometry = LinkGeometry(**{
-        fieldname: read("geometry", key, cast, default)
-        for key, (fieldname, cast, default) in _GEOMETRY_KEYS.items()
-    })
-
-    if parser.has_section("budget"):
-        for key in parser.options("budget"):
-            if key not in _BUDGET_DEFAULTS:
-                raise ValidationError(key, "unknown budget key")
-    mode_power = read("budget", "mode_power", float, _BUDGET_DEFAULTS["mode_power"])
-    noise_variance = read(
-        "budget", "noise_variance", float, _BUDGET_DEFAULTS["noise_variance"]
-    )
-    seed = read("budget", "seed", int, _BUDGET_DEFAULTS["seed"])
-    if mode_power < 0 or not math.isfinite(mode_power):
-        raise ValidationError("mode_power", "must be finite and >= 0")
-    if noise_variance < 0 or not math.isfinite(noise_variance):
-        raise ValidationError("noise_variance", "must be finite and >= 0")
-    if not 0 <= seed < 2**64:
+    geometry = LinkGeometry(**read("geometry"))
+    budget = read("budget")
+    for name in ("mode_power", "noise_variance"):
+        if budget[name] < 0 or not math.isfinite(budget[name]):
+            raise ValidationError(name, "must be finite and >= 0")
+    if not 0 <= budget["seed"] < 2**64:
         raise ValidationError("seed", "must be an unsigned 64-bit integer")
 
     sweep = None
     if parser.has_section("sweep"):
-        for key in parser.options("sweep"):
-            if key not in ("variable", "start", "stop", "steps"):
-                raise ValidationError(key, "unknown sweep key")
-        missing = [k for k in ("variable", "start", "stop", "steps")
-                   if not parser.has_option("sweep", k)]
+        missing = [k for k in _CONFIG_KEYS["sweep"] if not parser.has_option("sweep", k)]
         if missing:
             raise ValidationError(missing[0], "sweep section requires this key")
-        sweep = SweepSpec(
-            variable=read("sweep", "variable", str, None),
-            start=read("sweep", "start", float, None),
-            stop=read("sweep", "stop", float, None),
-            steps=read("sweep", "steps", int, None),
-        )
+        sweep = SweepSpec(**read("sweep"))
 
-    return RunConfig(
-        geometry=geometry,
-        mode_power=mode_power,
-        noise_variance=noise_variance,
-        seed=seed,
-        sweep=sweep,
-        defaulted=tuple(defaulted),
-    )
+    return RunConfig(geometry=geometry, sweep=sweep, defaulted=tuple(defaulted), **budget)
 
 
 def render_config(config: RunConfig) -> str:
     """Emit a RunConfig as config text; parsing it back yields an equal config."""
-    g = config.geometry
-    lines = ["[geometry]"]
-    lines += [f"{key} = {getattr(g, fieldname)!r}"
-              for key, (fieldname, _, _) in _GEOMETRY_KEYS.items()]
-    lines += [
-        "",
-        "[budget]",
-        f"mode_power = {config.mode_power!r}",
-        f"noise_variance = {config.noise_variance!r}",
-        f"seed = {config.seed!r}",
-    ]
-    if config.sweep is not None:
-        lines += [
-            "",
-            "[sweep]",
-            f"variable = {config.sweep.variable}",
-            f"start = {config.sweep.start!r}",
-            f"stop = {config.sweep.stop!r}",
-            f"steps = {config.sweep.steps!r}",
-        ]
-    return "\n".join(lines) + "\n"
+    sources = {"geometry": config.geometry, "budget": config, "sweep": config.sweep}
+    blocks = []
+    for section, keys in _CONFIG_KEYS.items():
+        if sources[section] is None:
+            continue
+        lines = [f"[{section}]"]
+        for key, (fieldname, cast, _) in keys.items():
+            value = getattr(sources[section], fieldname)
+            lines.append(f"{key} = {value if cast is str else repr(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _fmt(value) -> str:
@@ -251,9 +235,11 @@ def _write_csv(path: str, subcommand: str, config: RunConfig, notes, header, row
 def _resolve_sweep(config: RunConfig, subcommand: str, grid_arg: str | None) -> RunConfig:
     """Fix the sweep actually used: --grid beats config, config beats defaults."""
     defaulted = list(config.defaulted)
-    default = _DEFAULT_SWEEPS.get(subcommand)
+    default = _SUBCOMMANDS[subcommand][2]
     variable = default[0] if default else None
     if grid_arg is not None:
+        if default is None:
+            raise ValidationError("grid", f"subcommand {subcommand} takes no sweep grid")
         parts = grid_arg.split(":")
         if len(parts) != 3:
             raise ValidationError("grid", "expected START:STOP:STEPS")
@@ -275,8 +261,6 @@ def _resolve_sweep(config: RunConfig, subcommand: str, grid_arg: str | None) -> 
         defaulted.append("sweep.*")
     else:
         sweep = None
-    if default is None and grid_arg is not None:
-        raise ValidationError("grid", f"subcommand {subcommand} takes no sweep grid")
     return dataclasses.replace(config, sweep=sweep, defaulted=tuple(defaulted))
 
 
@@ -315,10 +299,11 @@ def run_error_sweep(config: RunConfig, out_path: str) -> None:
                ("n_elements", "mode", "log10_error"), rows)
 
 
-def run_gain_sweep(config: RunConfig, variable: str, out_path: str) -> None:
-    """Per-mode amplitude gains versus tilt (phi) or bearing (theta)."""
+def run_gain_sweep(config: RunConfig, out_path: str) -> None:
+    """Per-mode amplitude gains versus tilt (phi) or bearing (theta), as the sweep says."""
     sweep = config.sweep
     _check_angle_grid(sweep)
+    variable = sweep.variable
     fieldname = "tilt_phi" if variable == "phi" else "bearing_theta"
     geometry = config.geometry
     panels = [m for m in _GAIN_PANELS if m <= geometry.n_rx]
@@ -413,14 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="OAM link experiments for non-coaxial uniform circular arrays",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "error-sweep": "closed-form approximation error vs array size",
-        "gain-vs-phi": "per-mode amplitude gain vs tilt angle",
-        "gain-vs-theta": "per-mode amplitude gain vs bearing angle",
-        "se-vs-phi": "spectrum efficiency vs tilt angle",
-        "demux-demo": "round-trip demultiplexing demonstration",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="config file (defaults when omitted)")
         p.add_argument("--out", metavar="PATH", help="output CSV path")
@@ -435,7 +413,12 @@ def main(argv=None) -> int:
         text = ""
         if args.config is not None:
             with open(args.config, encoding="utf-8") as handle:
-                text = handle.read()
+                try:
+                    text = handle.read()
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"{args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                    ) from None
         config = parse_config(text)
         if args.seed is not None:
             if not 0 <= args.seed < 2**64:
@@ -450,20 +433,9 @@ def main(argv=None) -> int:
                 ),
             )
         out_path = args.out or args.subcommand.replace("-", "_") + ".csv"
-        if args.subcommand == "error-sweep":
-            run_error_sweep(config, out_path)
-        elif args.subcommand == "gain-vs-phi":
-            run_gain_sweep(config, "phi", out_path)
-        elif args.subcommand == "gain-vs-theta":
-            run_gain_sweep(config, "theta", out_path)
-        elif args.subcommand == "se-vs-phi":
-            run_se_sweep(config, out_path)
-        else:
-            run_demux_demo(config, out_path)
-    except VortexUcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        runner = globals()[_SUBCOMMANDS[args.subcommand][1]]
+        runner(config, out_path)
+    except (VortexUcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -8,6 +8,9 @@ offset of their first element (``offset_alpha_tx`` / ``offset_alpha_rx``).
 
 Element indices are 1-based throughout, matching the usual antenna-array
 numbering: transmit elements n = 1..n_tx, receive elements m = 1..n_rx.
+The per-element functions accept an index or an index array for each of
+m and n; the arrays broadcast against each other, so ``m[:, None]`` with
+``n`` gives the whole rx-by-tx table in one call.
 """
 
 from __future__ import annotations
@@ -112,23 +115,24 @@ class LinkGeometry:
             self.center_distance**2 + self.radius_tx**2 + self.radius_rx**2
         )
 
-    def tx_base_angle(self, n: int) -> float:
-        """Base angle 2*pi*(n-1)/N of transmit element n (1-based)."""
-        self._check_tx_index(n)
-        return TWO_PI * (n - 1) / self.n_tx
+    def tx_angles(self, n=None) -> np.ndarray:
+        """Azimuths 2*pi*(n-1)/N + alpha_tx of tx elements ``n`` (1-based
+        index or index array); every element's when ``n`` is None."""
+        return _azimuths(self.n_tx, self.offset_alpha_tx, n, "tx")
 
-    def rx_base_angle(self, m: int) -> float:
-        """Base angle 2*pi*(m-1)/M of receive element m (1-based)."""
-        self._check_rx_index(m)
-        return TWO_PI * (m - 1) / self.n_rx
+    def rx_angles(self, m=None) -> np.ndarray:
+        """Azimuths 2*pi*(m-1)/M + alpha_rx of rx elements ``m``, like :meth:`tx_angles`."""
+        return _azimuths(self.n_rx, self.offset_alpha_rx, m, "rx")
 
-    def _check_tx_index(self, n: int) -> None:
-        if not 1 <= n <= self.n_tx:
-            raise ValueError(f"tx element index {n} outside 1..{self.n_tx}")
 
-    def _check_rx_index(self, m: int) -> None:
-        if not 1 <= m <= self.n_rx:
-            raise ValueError(f"rx element index {m} outside 1..{self.n_rx}")
+def _azimuths(count: int, offset: float, index, side: str) -> np.ndarray:
+    if index is None:
+        k = np.arange(count)
+    else:
+        k = np.asarray(index) - 1
+        if np.any((k < 0) | (k >= count)):
+            raise ValueError(f"{side} element index {index} outside 1..{count}")
+    return TWO_PI * k / count + offset
 
 
 def _floor_toward_zero(value: float) -> int:
@@ -201,22 +205,22 @@ def element_positions(geometry: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:
     return tx, rx
 
 
-def _cross_terms(m: int, n: int, g: LinkGeometry) -> tuple[float, float, float]:
+def _cross_terms(m, n, g: LinkGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three cosine cross-terms shared by all distance formulas.
 
     Returns (rR*cos(gap), Rd*sin(tilt)*cos(rx bearing gap),
-    rd*sin(tilt)*cos(tx bearing gap)) for the element pair (m, n).
+    rd*sin(tilt)*cos(tx bearing gap)) for the element pairs (m, n).
     """
-    psi = g.rx_base_angle(m) + g.offset_alpha_rx
-    phi = g.tx_base_angle(n) + g.offset_alpha_tx
+    psi = g.rx_angles(m)
+    phi = g.tx_angles(n)
     sin_tilt = math.sin(g.tilt_phi)
-    term_rr = g.radius_tx * g.radius_rx * math.cos(psi - phi)
-    term_rx = g.radius_rx * g.center_distance * sin_tilt * math.cos(psi - g.bearing_theta)
-    term_tx = g.radius_tx * g.center_distance * sin_tilt * math.cos(phi - g.bearing_theta)
+    term_rr = g.radius_tx * g.radius_rx * np.cos(psi - phi)
+    term_rx = g.radius_rx * g.center_distance * sin_tilt * np.cos(psi - g.bearing_theta)
+    term_tx = g.radius_tx * g.center_distance * sin_tilt * np.cos(phi - g.bearing_theta)
     return term_rr, term_rx, term_tx
 
 
-def projected_distance(m: int, n: int, geometry: LinkGeometry) -> float:
+def projected_distance(m, n, geometry: LinkGeometry) -> np.ndarray:
     """In-plane distance between rx element m and the projection of tx element n."""
     g = geometry
     term_rr, term_rx, term_tx = _cross_terms(m, n, g)
@@ -229,10 +233,10 @@ def projected_distance(m: int, n: int, geometry: LinkGeometry) -> float:
         - 2.0 * term_rx
         + 2.0 * term_tx
     )
-    return math.sqrt(max(sq, 0.0))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
-def exact_distance(m: int, n: int, geometry: LinkGeometry) -> float:
+def exact_distance(m, n, geometry: LinkGeometry) -> np.ndarray:
     """Euclidean distance between tx element n and rx element m."""
     g = geometry
     term_rr, term_rx, term_tx = _cross_terms(m, n, g)
@@ -244,10 +248,10 @@ def exact_distance(m: int, n: int, geometry: LinkGeometry) -> float:
         - 2.0 * term_rx
         + 2.0 * term_tx
     )
-    return math.sqrt(max(sq, 0.0))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
-def approx_distance(m: int, n: int, geometry: LinkGeometry) -> float:
+def approx_distance(m, n, geometry: LinkGeometry) -> np.ndarray:
     """First-order far-field expansion of :func:`exact_distance`.
 
     Expands sqrt(1 - 2x) ~ 1 - x around the effective range; accurate when
@@ -259,22 +263,26 @@ def approx_distance(m: int, n: int, geometry: LinkGeometry) -> float:
     return srange - (term_rr + term_rx - term_tx) / srange
 
 
-def zeta(m: int, geometry: LinkGeometry) -> float:
-    """Offset angle of rx element m relative to the projected tx center.
+def zeta(m, geometry: LinkGeometry) -> np.ndarray:
+    """Offset angle of rx element(s) m relative to the projected tx center.
 
+    ``m`` is a 1-based index or index array, or None for every element.
     Resolved with the two-argument arctangent into (-pi, pi], so the sine
     and cosine of the returned angle reproduce both defining ratios.
     Raises :class:`DegenerateGeometry` when the defining triangle collapses
     (rx element radius and in-plane offset cancel simultaneously).
     """
     g = geometry
-    bearing_gap = g.rx_base_angle(m) + g.offset_alpha_rx - g.bearing_theta
+    bearing_gap = g.rx_angles(m) - g.bearing_theta
     inplane = g.center_distance * math.sin(g.tilt_phi)
-    sin_num = g.radius_rx - inplane * math.cos(bearing_gap)
-    cos_num = inplane * math.sin(bearing_gap)
-    denom = math.sqrt(sin_num**2 + cos_num**2)
-    if denom <= DEGENERACY_TOL:
+    sin_num = g.radius_rx - inplane * np.cos(bearing_gap)
+    cos_num = inplane * np.sin(bearing_gap)
+    denom = np.sqrt(sin_num**2 + cos_num**2)
+    degenerate = np.asarray(denom <= DEGENERACY_TOL)
+    if degenerate.any():
+        element = (np.arange(1, g.n_rx + 1) if m is None else np.asarray(m))[degenerate][0]
         raise DegenerateGeometry(
-            f"offset angle undefined at rx element {m}: denominator {denom:.3e}"
+            f"offset angle undefined at rx element {element}: "
+            f"denominator {np.asarray(denom)[degenerate][0]:.3e}"
         )
-    return math.atan2(sin_num, cos_num)
+    return np.arctan2(sin_num, cos_num)

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import mode_gain_factors
+from .channel import _check_invertible, mode_gain_factors
 from .errors import DegenerateGeometry, LengthMismatch, ModeUnobservable
 from .geometry import LinkGeometry, mode_index_set
-from .transceiver import INVERSION_TOL, NoiseModel
+from .transceiver import NoiseModel
 
 _SWEEP_FIELDS = {
     "phi": "tilt_phi",
@@ -67,10 +67,7 @@ def _aggregate_variances(geometry: LinkGeometry, noise: NoiseModel, modes) -> np
             f"{len(noise.variances)} noise variances for {g.n_rx} rx elements"
         )
     c_abs = np.abs(mode_gain_factors(g).c_matrix(modes))
-    small = c_abs < INVERSION_TOL
-    if small.any():
-        l_idx, m_idx = np.argwhere(small.T)[0]
-        raise ModeUnobservable(int(m_idx) + 1, int(modes[l_idx]))
+    _check_invertible(c_abs, modes)
     return np.sum(noise.variances[:, None] / c_abs**2, axis=0)
 
 

@@ -14,12 +14,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelMatrix, ModeChannelMatrix, mode_channel_matrix, mode_gain_factors
-from .errors import LengthMismatch, ModeUnobservable
-from .geometry import TWO_PI, LinkGeometry, ModeIndexSet, mode_index_set
-
-# Per-mode inversion refuses gain factors smaller than this.
-INVERSION_TOL = 1e-12
+from .channel import (
+    ChannelMatrix,
+    ModeChannelMatrix,
+    _check_invertible,
+    _closed_gains,
+    mode_channel_matrix,
+    mode_gain_factors,
+)
+from .errors import LengthMismatch
+from .geometry import LinkGeometry, ModeIndexSet, mode_index_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +106,7 @@ class DemuxOutput:
 def _synthesis_matrix(geometry: LinkGeometry) -> np.ndarray:
     g = geometry
     modes = np.array(mode_index_set(g).modes)
-    azimuth = TWO_PI * np.arange(g.n_tx) / g.n_tx + g.offset_alpha_tx
-    return np.exp(1j * np.outer(azimuth, modes)) / math.sqrt(g.n_tx)
+    return np.exp(1j * np.outer(g.tx_angles(), modes)) / math.sqrt(g.n_tx)
 
 
 def synthesize_transmit(symbols: ModeSymbolVector, geometry: LinkGeometry) -> ElementSignalVector:
@@ -156,19 +159,16 @@ def propagate_mode_model(
 
 @lru_cache(maxsize=256)
 def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, ModeIndexSet]:
-    """Per-(element, mode) compensation weights; raises when uninvertible."""
+    """Per-(element, mode) compensation weights h / gain; raises when uninvertible.
+
+    The factor magnitude |c| is |gain / h|, since the offset phase is unimodular.
+    """
     g = geometry
-    f = mode_gain_factors(g)
+    h = mode_gain_factors(g).h_scalar
     modes = mode_index_set(g)
-    mode_arr = np.array(modes.modes)
-    c = f.c_matrix(mode_arr)
-    too_small = np.abs(c) < INVERSION_TOL
-    if too_small.any():
-        m_idx, l_idx = np.argwhere(too_small)[0]
-        raise ModeUnobservable(int(m_idx) + 1, int(mode_arr[l_idx]))
-    psi = TWO_PI * np.arange(g.n_rx) / g.n_rx
-    offset = psi[:, None] + g.offset_alpha_rx - f.zeta[:, None]
-    weights = np.exp(-1j * offset * mode_arr[None, :]) / c
+    gains = _closed_gains(g, modes)
+    _check_invertible(np.abs(gains) / abs(h), modes.modes)
+    weights = h / gains
     weights.setflags(write=False)
     return weights, modes
 

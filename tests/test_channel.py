@@ -294,3 +294,40 @@ def test_degenerate_geometry_propagates():
         v.farfield_channel_gain(1, 1, g)
     with pytest.raises(v.DegenerateGeometry):
         v.mode_gain_closed(1, 0, g)
+
+
+def test_channel_matrix_exact_matches_coordinates():
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        g = random_geometry(rng)
+        tx, rx = v.element_positions(g)
+        dist = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=2)
+        expected = (
+            g.beta * g.wavelength * np.exp(-2j * math.pi * dist / g.wavelength)
+            / (4.0 * math.pi * dist)
+        )
+        entries = v.channel_matrix(g, variant="exact").entries
+        assert entries.shape == (g.n_rx, g.n_tx)
+        np.testing.assert_allclose(entries, expected, rtol=1e-9)
+
+
+def test_channel_matrix_farfield_matches_scalar_gains():
+    # Array and scalar complex products may round differently (FMA), so the
+    # whole matrix is held to a few ulps of the scalar calls.
+    rng = np.random.default_rng(9)
+    checked = 0
+    for _ in range(12):
+        g = random_geometry(rng)
+        try:
+            entries = v.channel_matrix(g, variant="farfield").entries
+        except v.DegenerateGeometry:
+            continue
+        checked += 1
+        scalar = np.array([
+            [v.farfield_channel_gain(m, n, g) for n in range(1, g.n_tx + 1)]
+            for m in range(1, g.n_rx + 1)
+        ])
+        np.testing.assert_allclose(entries, scalar, rtol=4 * np.finfo(float).eps, atol=0)
+        rows = v.farfield_channel_gain(np.arange(1, g.n_rx + 1)[:, None], 1, g)
+        np.testing.assert_array_equal(rows, entries[:, :1])
+    assert checked > 8

@@ -306,3 +306,21 @@ def test_bad_grid_argument(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli("se-vs-phi", "--out", str(out), "--grid", "1:2") == 1
     assert "START:STOP:STEPS" in capsys.readouterr().err
+
+
+def test_demux_demo_rejects_grid(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run_cli("demux-demo", "--out", str(out), "--grid", "1:2:3") == 1
+    err = capsys.readouterr().err
+    assert err == "error: grid: subcommand demux-demo takes no sweep grid\n"
+    assert not out.exists()
+
+
+def test_non_utf8_config_is_an_error_line(tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    config.write_bytes(b"[geometry]\nbeta = \xff\n")
+    out = tmp_path / "d.csv"
+    assert run_cli("demux-demo", "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+    assert not out.exists()

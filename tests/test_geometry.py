@@ -248,3 +248,47 @@ def test_element_index_bounds(ref_geometry):
         v.exact_distance(1, 11, ref_geometry)
     with pytest.raises(ValueError):
         v.zeta(11, ref_geometry)
+
+
+def test_element_functions_accept_index_arrays():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(20):
+        g = random_geometry(rng)
+        m = np.arange(1, g.n_rx + 1)
+        n = np.arange(1, g.n_tx + 1)
+        for fn in (v.exact_distance, v.projected_distance, v.approx_distance):
+            table = fn(m[:, None], n, g)
+            assert table.shape == (g.n_rx, g.n_tx)
+            for i in range(g.n_rx):
+                for j in range(g.n_tx):
+                    assert table[i, j] == fn(i + 1, j + 1, g)
+        np.testing.assert_array_equal(g.tx_angles(n), g.tx_angles())
+        np.testing.assert_array_equal(g.rx_angles(m), g.rx_angles())
+        try:
+            angles = v.zeta(m, g)
+        except v.DegenerateGeometry:
+            continue
+        checked += 1
+        np.testing.assert_array_equal(angles, v.zeta(None, g))
+        assert list(angles) == [v.zeta(k, g) for k in range(1, g.n_rx + 1)]
+    assert checked > 15
+
+
+def test_index_arrays_are_bounds_checked(ref_geometry):
+    with pytest.raises(ValueError):
+        v.exact_distance(np.array([1, 11]), 1, ref_geometry)
+    with pytest.raises(ValueError):
+        v.exact_distance(1, np.arange(0, 3), ref_geometry)
+    with pytest.raises(ValueError):
+        v.zeta(np.array([[2], [0]]), ref_geometry)
+
+
+def test_zeta_degenerate_array_names_the_element():
+    g = v.LinkGeometry(
+        n_tx=4, n_rx=4, radius_tx=0.1, radius_rx=0.5, center_distance=1.0,
+        tilt_phi=math.pi / 6,
+    )
+    for m in (None, np.arange(1, 5), 1):
+        with pytest.raises(v.DegenerateGeometry, match="rx element 1:"):
+            v.zeta(m, g)
