@@ -72,6 +72,9 @@ _CONFIG_KEYS = {
 
 _SWEEP_VARIABLES = ("phi", "theta", "n_elements")
 
+# Largest sweep grid accepted; the default grids have at most 121 points.
+MAX_SWEEP_STEPS = 10_000
+
 HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
 
@@ -110,6 +113,8 @@ class SweepSpec:
             raise ValidationError("variable", f"must be one of {_SWEEP_VARIABLES}")
         if not isinstance(self.steps, int) or self.steps < 1:
             raise ValidationError("steps", "must be an integer >= 1")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise ValidationError("steps", f"must be <= {MAX_SWEEP_STEPS}, got {self.steps}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValidationError("start", "sweep bounds must be finite")
         if self.start > self.stop:
@@ -133,10 +138,12 @@ def parse_config(text: str) -> RunConfig:
     """Parse flat key-value config text into a validated RunConfig.
 
     Missing keys fall back to documented defaults; unknown sections or keys
-    are rejected by name.
+    are rejected by name, [DEFAULT] included.
     """
+    # No header can name the empty section, so [DEFAULT] reads as an
+    # ordinary (and unknown) section instead of lending its keys to others.
     parser = configparser.ConfigParser(
-        interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
+        interpolation=None, delimiters=("=",), comment_prefixes=("#", ";"), default_section=""
     )
     try:
         parser.read_string(text)

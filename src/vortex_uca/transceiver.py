@@ -19,11 +19,10 @@ from .channel import (
     ModeChannelMatrix,
     _check_invertible,
     _closed_gains,
-    mode_channel_matrix,
     mode_gain_factors,
 )
 from .errors import LengthMismatch
-from .geometry import LinkGeometry, ModeIndexSet, mode_index_set
+from .geometry import TWO_PI, LinkGeometry, ModeIndexSet, mode_index_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +79,10 @@ class NoiseModel:
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
+        # Per-element draw scale, fixed here rather than per sample.
+        scale = np.sqrt(v / 2.0)
+        scale.setflags(write=False)
+        object.__setattr__(self, "_scale", scale)
 
     @classmethod
     def uniform(cls, variance: float, n_rx: int, seed: int) -> "NoiseModel":
@@ -90,7 +93,7 @@ class NoiseModel:
             raise ValueError("trial must be >= 0")
         rng = np.random.default_rng([self.seed, int(trial)])
         pairs = rng.standard_normal((2, len(self.variances)))
-        return np.sqrt(self.variances / 2.0) * (pairs[0] + 1j * pairs[1])
+        return self._scale * (pairs[0] + 1j * pairs[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,20 +106,35 @@ class DemuxOutput:
     modes: ModeIndexSet
 
 
-def _synthesis_matrix(geometry: LinkGeometry) -> np.ndarray:
-    g = geometry
-    modes = np.array(mode_index_set(g).modes)
-    return np.exp(1j * np.outer(g.tx_angles(), modes)) / math.sqrt(g.n_tx)
+@lru_cache(maxsize=64)
+def _phase_ramps(n_tx: int) -> tuple[ModeIndexSet, np.ndarray, np.ndarray]:
+    """(modes, mode numbers, ramp table) of an n_tx-element transmit array.
+
+    The table holds exp(j*2*pi*k*l/N)/sqrt(N), tx element k = 0..N-1 by mode
+    l: the feed of a zero-offset array, which depends on N alone.  The phase
+    index k*l is reduced mod N first, so no entry's exponent exceeds 2*pi.
+    """
+    modes = ModeIndexSet.for_element_count(n_tx)
+    l = np.array(modes.modes)
+    table = np.exp(1j * TWO_PI * (np.outer(np.arange(n_tx), l) % n_tx) / n_tx) / math.sqrt(n_tx)
+    for arr in (l, table):
+        arr.setflags(write=False)
+    return modes, l, table
 
 
 def synthesize_transmit(symbols: ModeSymbolVector, geometry: LinkGeometry) -> ElementSignalVector:
-    """Element feed signals for a symbol vector (an isometry: power is preserved)."""
-    modes = mode_index_set(geometry)
+    """Element feed signals for a symbol vector (an isometry: power is preserved).
+
+    The tx offset rotates mode l by exp(j*alpha_tx*l); the rest is the
+    cached ramp table of the element count.
+    """
+    g = geometry
+    modes, l, table = _phase_ramps(g.n_tx)
     if symbols.modes != modes:
         raise LengthMismatch(
             f"symbol modes {symbols.modes.modes} do not match geometry modes {modes.modes}"
         )
-    samples = _synthesis_matrix(geometry) @ symbols.symbols
+    samples = table @ (symbols.symbols * np.exp(1j * g.offset_alpha_tx * l))
     return ElementSignalVector(samples=samples, side="tx")
 
 
@@ -158,10 +176,11 @@ def propagate_mode_model(
 
 
 @lru_cache(maxsize=256)
-def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, ModeIndexSet]:
-    """Per-(element, mode) compensation weights h / gain; raises when uninvertible.
+def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, ModeIndexSet, complex]:
+    """(weights h / gain per (element, mode), modes, estimate normalizer M*h).
 
-    The factor magnitude |c| is |gain / h|, since the offset phase is unimodular.
+    Raises when a mode is uninvertible.  The factor magnitude |c| is
+    |gain / h|, since the offset phase is unimodular.
     """
     g = geometry
     h = mode_gain_factors(g).h_scalar
@@ -170,7 +189,7 @@ def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, ModeIndexSet]:
     _check_invertible(np.abs(gains) / abs(h), modes.modes)
     weights = h / gains
     weights.setflags(write=False)
-    return weights, modes
+    return weights, modes, g.n_rx * h
 
 
 def demultiplex(rx: ElementSignalVector, geometry: LinkGeometry) -> DemuxOutput:
@@ -185,11 +204,10 @@ def demultiplex(rx: ElementSignalVector, geometry: LinkGeometry) -> DemuxOutput:
         raise LengthMismatch("demultiplex expects an rx-side signal")
     if len(rx) != g.n_rx:
         raise LengthMismatch(f"{len(rx)} rx samples for {g.n_rx} elements")
-    weights, modes = _demux_weights(g)
+    weights, modes, norm = _demux_weights(g)
     terms = rx.samples[:, None] * weights
     per_mode = terms.sum(axis=0)
-    h = mode_gain_factors(g).h_scalar
-    estimates = per_mode / (g.n_rx * h)
+    estimates = per_mode / norm
     for arr in (terms, per_mode, estimates):
         arr.setflags(write=False)
     return DemuxOutput(
@@ -204,11 +222,10 @@ def crosstalk_matrix(geometry: LinkGeometry) -> np.ndarray:
     """Mode-to-mode leakage of the decomposition under the closed-form model.
 
     Entry (row i0, column i) is the response of the mode-i0 output to a unit
-    symbol on mode i.  Diagonal entries are exactly 1; off-diagonal
+    symbol on mode i.  Diagonal entries are 1 up to rounding; off-diagonal
     magnitudes quantify inter-mode interference (zero for coaxial arrays).
     """
-    g = geometry
-    weights, _ = _demux_weights(g)
-    gains = mode_channel_matrix(g, method="closed").entries
-    h = mode_gain_factors(g).h_scalar
-    return weights.T @ gains / (g.n_rx * h)
+    weights, _, _ = _demux_weights(geometry)
+    # The closed gains are h / weights; h cancels against the estimate's
+    # 1 / (M*h), so the gains need no second Bessel pass.
+    return weights.T @ (1.0 / weights) / geometry.n_rx

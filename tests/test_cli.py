@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vortex_uca as v
-from vortex_uca.cli import main, parse_config, render_config
+from vortex_uca.cli import MAX_SWEEP_STEPS, SweepSpec, main, parse_config, render_config
 
 
 def run_cli(*args):
@@ -58,6 +58,15 @@ def test_config_rejects_unknown_key_and_section():
         parse_config("[mystery]\nx = 1\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\nn_tx = 4\n", "[DEFAULT]\nn_tx = 4\n[budget]\nseed = 2\n"]
+)
+def test_config_rejects_default_section(text):
+    with pytest.raises(v.ValidationError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.field == "DEFAULT"
+
+
 def test_config_rejects_bad_numbers_and_seed():
     with pytest.raises(v.ValidationError):
         parse_config("[geometry]\nradius_tx_m = abc\n")
@@ -88,6 +97,13 @@ def test_sweep_section_requires_all_keys():
         parse_config("[sweep]\nvariable = phi\nstart = 0\nstop = 1\n")
     with pytest.raises(v.ValidationError):
         parse_config("[sweep]\nvariable = phi\nstart = 2\nstop = 1\nsteps = 3\n")
+
+
+def test_sweep_steps_bound():
+    assert SweepSpec("phi", 0.0, 1.0, MAX_SWEEP_STEPS).steps == MAX_SWEEP_STEPS
+    with pytest.raises(v.ValidationError) as excinfo:
+        SweepSpec("phi", 0.0, 1.0, MAX_SWEEP_STEPS + 1)
+    assert excinfo.value.field == "steps"
 
 
 def test_error_sweep_single_size(tmp_path, capsys):
@@ -306,6 +322,14 @@ def test_bad_grid_argument(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli("se-vs-phi", "--out", str(out), "--grid", "1:2") == 1
     assert "START:STOP:STEPS" in capsys.readouterr().err
+
+
+def test_oversized_grid_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "se.csv"
+    assert run_cli("se-vs-phi", "--out", str(out), "--grid", "0:1:100000000") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: steps: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_demux_demo_rejects_grid(tmp_path, capsys):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import vortex_uca as v
-from conftest import reference_geometry
+from conftest import random_geometry, reference_geometry
+from vortex_uca.transceiver import _phase_ramps
 
 
 def unit_symbols(geometry, seed=11):
@@ -47,6 +48,31 @@ def test_synthesize_preserves_power(n):
     assert np.sum(np.abs(tx.samples) ** 2) == pytest.approx(
         np.sum(np.abs(symbols.symbols) ** 2), rel=1e-12
     )
+
+
+def test_synthesize_matches_outer_product_formula():
+    # The per-geometry matrix the ramp table replaced, kept as the reference.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        g = random_geometry(rng)
+        symbols = unit_symbols(g, seed=int(rng.integers(1000)))
+        matrix = np.exp(1j * np.outer(g.tx_angles(), symbols.modes.modes)) / np.sqrt(g.n_tx)
+        reference = matrix @ symbols.symbols
+        np.testing.assert_allclose(
+            v.synthesize_transmit(symbols, g).samples, reference, rtol=1e-12, atol=1e-15
+        )
+
+
+def test_ramp_cache_holds_one_entry_per_element_count():
+    _phase_ramps.cache_clear()
+    rng = np.random.default_rng(43)
+    counts = set()
+    for n in (4, 9, 4, 16, 9, 4):
+        for _ in range(5):  # distinct geometries sharing one element count
+            g = dataclasses.replace(random_geometry(rng), n_tx=n)
+            v.synthesize_transmit(unit_symbols(g), g)
+            counts.add(n)
+            assert _phase_ramps.cache_info().currsize <= len(counts)
 
 
 def test_synthesize_rejects_foreign_modes():
@@ -108,6 +134,15 @@ def test_noise_model_reproducible_streams():
     assert not np.array_equal(noise.sample(trial=4), a)
     other_seed = v.NoiseModel.uniform(0.5, 8, seed=100)
     assert not np.array_equal(other_seed.sample(trial=3), a)
+
+
+def test_noise_sample_is_the_scaled_seeded_draw():
+    variances = np.array([0.5, 2.0, 0.0, 1e-4, 3.0])
+    noise = v.NoiseModel(variances=variances, seed=2**63 + 5)
+    for trial in (0, 1, 17):
+        a, b = np.random.default_rng([2**63 + 5, trial]).standard_normal((2, len(variances)))
+        expected = np.sqrt(variances / 2) * (a + 1j * b)
+        assert noise.sample(trial).tobytes() == expected.tobytes()
 
 
 def test_noise_model_validation():
@@ -196,6 +231,26 @@ def test_crosstalk_diagonal_always_unity():
     for tilt in (0.0, 0.3, math.pi / 6, 1.2):
         leak = v.crosstalk_matrix(reference_geometry(tilt_phi=tilt))
         assert np.max(np.abs(np.diag(leak) - 1.0)) < 1e-12
+
+
+def test_crosstalk_matches_two_pass_formula():
+    # Reference: weights against a freshly built closed-form mode matrix.
+    rng = np.random.default_rng(47)
+    checked = 0
+    while checked < 12:
+        g = random_geometry(rng)
+        try:
+            leak = v.crosstalk_matrix(g)
+        except (v.ModeUnobservable, v.DegenerateGeometry):
+            continue
+        gains = v.mode_channel_matrix(g, method="closed").entries
+        h = v.mode_gain_factors(g).h_scalar
+        weights = h / gains
+        reference = weights.T @ gains / (g.n_rx * h)
+        # Rounding of each dot product scales with the sum of its terms' magnitudes.
+        magnitude = np.abs(weights).T @ np.abs(gains) / (g.n_rx * abs(h))
+        assert np.all(np.abs(leak - reference) <= 1e-14 * magnitude)
+        checked += 1
 
 
 def test_crosstalk_shrinks_with_distance():
