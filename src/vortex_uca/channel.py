@@ -267,22 +267,28 @@ def _log_error(diff: float) -> float:
 def approximation_error(m: int, mode: int, geometry: LinkGeometry) -> float:
     """log10 magnitude of (closed-form - direct-sum) per-mode gain.
 
-    The magnitude is floored at 1e-300 so exact agreement maps to a finite
+    The direct sum runs over the index ramp, so it is rotated by
+    exp(j*mode*offset_alpha_tx) onto the closed form's physical ramp.  The
+    magnitude is floored at 1e-300 so exact agreement maps to a finite
     value instead of -inf.
     """
-    return _log_error(abs(mode_gain_closed(m, mode, geometry) - mode_gain_direct(m, mode, geometry)))
+    g = geometry
+    direct = mode_gain_direct(m, mode, g) * cmath.exp(1j * mode * g.offset_alpha_tx)
+    return _log_error(abs(mode_gain_closed(m, mode, g) - direct))
 
 
 def worst_approximation_error(geometry: LinkGeometry, modes) -> list[float]:
     """Largest :func:`approximation_error` over the rx elements, per mode.
 
     The closed-form gains of all ``modes`` come from one Bessel table, the
-    direct sums from one far-field matrix times the transmit phase ramps.
+    direct sums from one far-field matrix times the transmit index ramps,
+    rotated by exp(j*l*offset_alpha_tx) as in :func:`approximation_error`.
     """
     g = geometry
     l = np.array(tuple(modes))
     ramps = np.exp(1j * TWO_PI * np.arange(g.n_tx)[:, None] * l / g.n_tx)
     direct = channel_matrix(g, "farfield").entries @ ramps / math.sqrt(g.n_tx)
+    direct *= np.exp(1j * l * g.offset_alpha_tx)
     worst = np.max(np.abs(_closed_gains(g, l) - direct), axis=0)
     return [_log_error(diff) for diff in worst]
 

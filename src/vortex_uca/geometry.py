@@ -47,7 +47,8 @@ def _wrap_angle(value: float) -> float:
     wrapped = math.fmod(value, TWO_PI)
     if wrapped < 0.0:
         wrapped += TWO_PI
-    return wrapped
+    # A negative angle within half an ulp of 0 rounds up to 2*pi itself.
+    return wrapped if wrapped < TWO_PI else 0.0
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Integer-order Bessel functions of the first kind.
 
-Production evaluation is one normalized backward recurrence (Miller's
-algorithm, DLMF 3.6(iii)) that visits every order from its start index
-down to 0 and keeps each row, so a whole table J_0..J_L costs one pass.
+Production evaluation is one downward recurrence on the ratios
+J_k / J_{k-1} (Miller's algorithm in ratio form, DLMF 3.6(iii)), which
+cannot overflow, so a whole table J_0..J_L costs one pass and no rescaling.
 The direct trapezoidal quadrature of the defining integral stays available
 as a fully independent cross-check.
 """
@@ -17,13 +17,13 @@ from .errors import OrderOutOfRange
 
 MAX_ORDER = 64
 
-# A lane is rescaled to about 1 before a recurrence step could push it
-# past this magnitude.
-_RESCALE_LIMIT = 1e250
-
 # Smaller arguments are evaluated here, which keeps 2k/x finite; every row
 # but J_0 = 1 is below 1e-300 in magnitude on both sides.
 _TINY_ARG = 1e-300
+
+# Stands in for a recurrence denominator J_{k-1}/J_k of exactly 0 (Lentz's
+# device); the huge ratio it gives cancels in the products J_0 q_1 ... q_k.
+_TINY_DENOM = 1e-30
 
 _MIN_QUADRATURE_NODES = 1024
 
@@ -44,41 +44,39 @@ def _finite(argument) -> np.ndarray:
 
 
 def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
-    """J_0..J_max_order at every x >= 0 of a 1-D array, shape (max_order+1, len(x)).
+    """J_0..J_max_order at every x of a 1-D array, shape (max_order+1, len(x)).
 
-    Recurses J_{k-1} = (2k/x) J_k - J_{k+1} downward from a start index far
-    enough above max(max_order, x) that the seed error is negligible, keeps
-    every row at or below max_order, then normalizes with
-    J_0 + 2*sum(J_even) = 1.  x = 0 is exact: J_0 = 1 and every other row 0.
+    Recurses q_k = 1 / (2k/x - q_{k+1}) downward from q = 0 at a start index
+    far enough above max(max_order, x) that the seed error is negligible,
+    keeping q_1..q_max_order.  At odd k the sum S = sum_{even k>=2} J_k/J_0
+    grows in Horner form, S <- q_k q_{k+1} (1 + S), so J_0 = 1/(1 + 2S) and
+    J_k = J_0 q_1 ... q_k.  x = 0 is exact: J_0 = 1 and every other row 0.
+    Negative x fold through J_l(-x) = (-1)^l J_l(x).
     """
+    negative = x < 0.0
     zero = x == 0.0
-    x = np.maximum(x, _TINY_ARG)
+    x = np.maximum(np.abs(x), _TINY_ARG)
     top = float(np.max(x, initial=_TINY_ARG))
     start = int(max(max_order, math.ceil(top))) + 20 + int(4.0 * math.sqrt(max(max_order, top)))
-    rows = np.zeros((max_order + 1, len(x)))
-    above = np.zeros_like(x)
-    current = np.ones_like(x)
-    norm = 2.0 * current if start % 2 == 0 else np.zeros_like(x)
+    rows = np.empty((max_order + 1, len(x)))
+    two_over_x = 2.0 / x
+    q = np.zeros_like(x)
+    s = np.zeros_like(x)
     for k in range(start, 0, -1):
-        step = (2.0 * k) / x
-        # Every accumulator is linear in the seed, so a power-of-two
-        # rescale of one lane is exact (tiny stored rows may underflow to 0,
-        # where they belong).
-        risky = np.abs(current) > _RESCALE_LIMIT / step
-        if risky.any():
-            scale = np.where(risky, np.ldexp(1.0, -np.frexp(current)[1]), 1.0)
-            current *= scale
-            above *= scale
-            norm *= scale
-            rows[k:] *= scale
-        above, current = current, step * current - above
-        if k - 1 <= max_order:
-            rows[k - 1] = current
-        if (k - 1) % 2 == 0:
-            norm += current if k == 1 else 2.0 * current
-    rows /= norm
+        d = k * two_over_x - q
+        if not d.all():
+            d[d == 0.0] = _TINY_DENOM
+        above, q = q, 1.0 / d
+        if k <= max_order:
+            rows[k] = q
+        if k % 2:
+            s = q * above * (1.0 + s)
+    rows[0] = 1.0
+    np.cumprod(rows, axis=0, out=rows)
+    rows *= 1.0 / (1.0 + 2.0 * s)
     rows[:, zero] = 0.0
     rows[0, zero] = 1.0
+    rows[1::2, negative] *= -1.0
     return rows
 
 
@@ -93,32 +91,21 @@ def bessel_table(max_order: int, argument) -> np.ndarray:
     if max_order < 0:
         raise OrderOutOfRange(f"max_order must be >= 0, got {max_order}")
     x = _finite(argument)
-    flat = x.ravel()
-    table = _rows(max_order, np.abs(flat))
-    table[1::2, flat < 0] *= -1.0
-    return table.reshape((max_order + 1,) + x.shape)
+    return _rows(max_order, x.ravel()).reshape((max_order + 1,) + x.shape)
 
 
 def bessel_j(order: int, argument):
     """J_order evaluated at ``argument`` (scalar or ndarray of reals).
 
-    Negative orders and negative arguments fold onto positive ones through
-    the parity relation J_{-l}(x) = (-1)^l J_l(x) = J_l(-x).
+    Row |order| of :func:`bessel_table`'s kernel, called directly so that a
+    wrapper on the public names records one call; J_{-l} = (-1)^l J_l.
     """
     order = _check_order(order)
     x = _finite(argument)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
-    sign = 1.0
-    if order < 0:
-        order = -order
-        sign = -1.0 if order % 2 else 1.0
-    flip = np.where((x < 0) & (order % 2 == 1), -1.0, 1.0)
-    out = _rows(order, np.abs(x).ravel())[order].reshape(x.shape)
-    out *= sign * flip
-
-    return float(out[0]) if scalar else out.reshape(np.shape(argument))
+    out = _rows(abs(order), x.ravel())[abs(order)].reshape(x.shape)
+    if order < 0 and order % 2:
+        out = -out
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j_quadrature(order: int, argument, nodes: int = 100_000):
@@ -132,9 +119,7 @@ def bessel_j_quadrature(order: int, argument, nodes: int = 100_000):
     order = _check_order(order)
     if not isinstance(nodes, (int, np.integer)) or nodes < _MIN_QUADRATURE_NODES:
         raise ValueError(f"nodes must be an integer >= {_MIN_QUADRATURE_NODES}")
-    x = np.asarray(argument, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite")
+    x = _finite(argument)
     scalar = x.ndim == 0
     x = np.atleast_1d(x).ravel()
 

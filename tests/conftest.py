@@ -3,8 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import vortex_uca as v
+
+# Property tests draw the same examples on every run and save no failing
+# examples between runs, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 # The default experiment parameter set used throughout the suite:
 # N = M = 10 elements, r = R = wavelength = 0.1 m, d = 1 m, beta = 4*pi,

@@ -232,6 +232,17 @@ def test_worst_approximation_error_is_max_over_elements():
         assert err == pytest.approx(expected, abs=1e-3)
 
 
+def test_approximation_error_with_tx_offset():
+    # the direct sum runs over the index ramp; the metric rotates it by
+    # exp(j*l*alpha_tx) onto the closed form's physical ramp
+    for tilt in (0.0, 0.3):
+        g = reference_geometry(n_tx=32, n_rx=32, offset_alpha_tx=0.3, tilt_phi=tilt)
+        assert all(err < -12.0 for err in v.worst_approximation_error(g, range(-3, 4)))
+        for m in (1, 9, 20):
+            for mode in (-2, 1, 3):
+                assert v.approximation_error(m, mode, g) < -12.0
+
+
 def test_mode_gain_closed_beyond_max_bessel_order():
     # 130 elements carry mode 65, past the Bessel table's order limit: the
     # whole matrix is out of reach, single gains of lower modes are not.

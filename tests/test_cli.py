@@ -92,6 +92,12 @@ def test_config_round_trip():
     assert parse_config(render_config(config)) == config
 
 
+def test_config_round_trip_tiny_negative_angle():
+    config = parse_config("[geometry]\ntheta_rad = -1e-20\n")
+    assert config.geometry.bearing_theta == 0.0
+    assert parse_config(render_config(config)) == config
+
+
 def test_sweep_section_requires_all_keys():
     with pytest.raises(v.ValidationError):
         parse_config("[sweep]\nvariable = phi\nstart = 0\nstop = 1\n")
@@ -131,6 +137,17 @@ def test_error_sweep_beyond_max_bessel_order(tmp_path):
     _, _, rows = read_rows(out)
     assert [(r[0], r[1]) for r in rows] == [("130", str(k)) for k in range(9)]
     assert all(float(r[2]) < -10.0 for r in rows)
+
+
+def test_error_sweep_with_tx_offset(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[geometry]\nalpha_tx_rad = 0.3\n")
+    out = tmp_path / "err.csv"
+    assert run_cli("error-sweep", "--config", str(config), "--out", str(out),
+                   "--grid", "24:32:5") == 0
+    _, _, rows = read_rows(out)
+    assert len(rows) == 5 * 9
+    assert all(float(r[2]) < -12.0 for r in rows)
 
 
 def test_error_sweep_values_drop_with_size(tmp_path):

@@ -232,6 +232,13 @@ def test_angle_normalization():
     assert g.offset_alpha_rx == pytest.approx(0.0, abs=1e-12)
 
 
+def test_tiny_negative_angle_wraps_to_zero():
+    # -1e-20 + 2*pi rounds to 2*pi, which lies outside [0, 2*pi)
+    g = reference_geometry(bearing_theta=-1e-20, offset_alpha_tx=-1e-300, tilt_phi=-1e-20)
+    assert g.bearing_theta == 0.0 and g.offset_alpha_tx == 0.0 and g.tilt_phi == 0.0
+    assert 0.0 <= reference_geometry(offset_alpha_rx=-1e-15).offset_alpha_rx < TWO_PI
+
+
 def test_far_field_advisory_flag():
     with pytest.warns(v.FarFieldWarning):
         close = v.LinkGeometry(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 from scipy.special import jv as scipy_jv
 
 import vortex_uca as v
@@ -160,3 +161,16 @@ def test_table_order_checks():
         v.bessel_table(-1, 1.0)
     with pytest.raises(ValueError):
         v.bessel_table(3, [1.0, float("nan")])
+
+
+def test_table_finite_at_bessel_zeros():
+    # Scipy's first 20 zeros of J_0..J_4, each with its two float neighbours
+    # on either side: without a guard, the ratio recurrence divides by an
+    # exact 0 at 2.404825557695773, one ulp above scipy's first zero of J_0.
+    zeros = np.concatenate([jn_zeros(n, 20) for n in range(5)])
+    orders = np.arange(5)[:, None]
+    for zero in zeros:
+        xs = zero + np.spacing(zero) * np.arange(-2, 3)
+        table = v.bessel_table(4, xs)
+        assert np.all(np.isfinite(table))
+        np.testing.assert_allclose(table, scipy_jv(orders, xs), rtol=0, atol=1e-13)
