@@ -11,7 +11,8 @@ Two gain models coexist:
 :meth:`ModeGainFactors.c_matrix` tabulates that factor for every element
 and mode from one Bessel table; the closed-form gains, the demultiplexing
 weights and the aggregated noise all read it.  The direct finite sum over
-transmit elements, :meth:`ModeGainFactors.c_factor`, the aligned and the
+transmit elements (:func:`mode_gain_direct`; its matrix is one far-field
+matrix product), :meth:`ModeGainFactors.c_factor`, the aligned and the
 coplanar special cases stay scalar, as the references the closed form is
 measured against.
 """
@@ -27,12 +28,14 @@ import numpy as np
 
 from .errors import CaseMismatch, ModeUnobservable
 from .geometry import (
+    DEGENERACY_TOL,
     TWO_PI,
     LinkGeometry,
     ModeIndexSet,
     exact_distance,
+    _offset_triangle,
+    _zeta_of,
     mode_index_set,
-    zeta,
 )
 from .specfun import MAX_ORDER, bessel_j, bessel_table
 
@@ -117,25 +120,25 @@ class ModeGainFactors:
         return c
 
 
+def _bessel_argument(g: LinkGeometry, spread) -> np.ndarray:
+    """b = 2*pi*r*spread / (lambda*range), the spread being an rx element's
+    distance from the projected tx center (zeta's denominator)."""
+    return TWO_PI * g.radius_tx * spread / (g.wavelength * g.farfield_range)
+
+
 @lru_cache(maxsize=256)
 def mode_gain_factors(geometry: LinkGeometry) -> ModeGainFactors:
     """All far-field gain factors of a geometry, cached per geometry."""
     g = geometry
     srange = g.farfield_range
-    amplitude = g.beta * g.wavelength / (4.0 * math.pi * srange)
     carrier = cmath.exp(-2j * math.pi * srange / g.wavelength)
 
-    zetas = zeta(None, g)
-    bearing_gap = g.rx_angles() - g.bearing_theta
-    inplane = g.center_distance * math.sin(g.tilt_phi)
-    spread = np.sqrt(
-        g.radius_rx**2 + inplane**2 - 2.0 * g.radius_rx * inplane * np.cos(bearing_gap)
-    )
-    b = TWO_PI * g.radius_tx * spread / (g.wavelength * srange)
-    prefactor = np.exp(1j * TWO_PI * g.radius_rx * inplane * np.cos(bearing_gap)
-                       / (g.wavelength * srange))
-    a = amplitude * carrier * prefactor
-    h = math.sqrt(g.n_tx) * amplitude * carrier
+    triangle = _offset_triangle(None, g, g.tilt_phi, g.bearing_theta)
+    zetas = _zeta_of(None, g, triangle)
+    b = _bessel_argument(g, triangle[3])
+    prefactor = np.exp(1j * TWO_PI * g.radius_rx * triangle[0] / (g.wavelength * srange))
+    a = g.farfield_amplitude * carrier * prefactor
+    h = math.sqrt(g.n_tx) * g.farfield_amplitude * carrier
     for arr in (zetas, b, prefactor, a):
         arr.setflags(write=False)
     return ModeGainFactors(h_scalar=h, a_factor=a, b_factor=b, c_prefactor=prefactor, zeta=zetas)
@@ -199,6 +202,22 @@ def _check_invertible(c_abs: np.ndarray, modes) -> None:
     if small.any():
         l_idx, m_idx = np.argwhere(small.T)[0]
         raise ModeUnobservable(int(m_idx) + 1, int(modes[l_idx]))
+
+
+def _sweep_gains(geometry: LinkGeometry, fieldname: str, grid, rows) -> tuple[np.ndarray, ...]:
+    """|closed-form gains| = |h| |J_l(b)| of rx elements ``rows`` along a tilt
+    or bearing grid, from one Bessel table: shape (points, rows, modes), NaN at
+    the points masked degenerate (some zeta denominator <= DEGENERACY_TOL)."""
+    g = geometry
+    angles = {"tilt_phi": g.tilt_phi, "bearing_theta": g.bearing_theta}
+    angles[fieldname] = np.asarray(grid, dtype=float)[:, None]
+    spread = _offset_triangle(None, g, angles["tilt_phi"], angles["bearing_theta"])[3]
+    degenerate = np.any(spread <= DEGENERACY_TOL, axis=1)
+    l = np.abs(mode_index_set(g).modes)
+    j = bessel_table(int(l.max()), _bessel_argument(g, spread[:, np.asarray(rows) - 1]))
+    gains = math.sqrt(g.n_tx) * g.farfield_amplitude * np.abs(np.moveaxis(j[l], 0, -1))
+    gains[degenerate] = np.nan
+    return gains, degenerate
 
 
 def mode_gain_closed(m: int, mode: int, geometry: LinkGeometry) -> complex:
@@ -286,11 +305,17 @@ def worst_approximation_error(geometry: LinkGeometry, modes) -> list[float]:
     """
     g = geometry
     l = np.array(tuple(modes))
-    ramps = np.exp(1j * TWO_PI * np.arange(g.n_tx)[:, None] * l / g.n_tx)
-    direct = channel_matrix(g, "farfield").entries @ ramps / math.sqrt(g.n_tx)
-    direct *= np.exp(1j * l * g.offset_alpha_tx)
+    direct = _direct_gains(g, l) * np.exp(1j * l * g.offset_alpha_tx)
     worst = np.max(np.abs(_closed_gains(g, l) - direct), axis=0)
     return [_log_error(diff) for diff in worst]
+
+
+def _direct_gains(geometry: LinkGeometry, l: np.ndarray) -> np.ndarray:
+    """Direct sums of modes ``l`` at every rx element: the far-field matrix
+    times the transmit index ramps exp(j*2*pi*(n-1)*l/N), over sqrt(N)."""
+    g = geometry
+    ramps = np.exp(1j * TWO_PI * np.arange(g.n_tx)[:, None] * l / g.n_tx)
+    return channel_matrix(g, "farfield").entries @ ramps / math.sqrt(g.n_tx)
 
 
 def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> ChannelMatrix:
@@ -310,17 +335,15 @@ def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> ChannelMat
 def mode_channel_matrix(geometry: LinkGeometry, method: str = "closed") -> ModeChannelMatrix:
     """Assemble the per-mode gain matrix (one column per mode).
 
-    ``method="closed"`` uses the closed form; ``method="direct"`` uses the
-    finite-sum oracle.
+    ``method="closed"`` uses the closed form; ``method="direct"`` the
+    finite sums of :func:`mode_gain_direct`, as one far-field matrix product.
     """
     g = geometry
     modes = mode_index_set(g)
     if method == "closed":
         entries = _closed_gains(g, modes)
     elif method == "direct":
-        entries = np.array(
-            [[mode_gain_direct(m, mode, g) for mode in modes] for m in range(1, g.n_rx + 1)]
-        )
+        entries = _direct_gains(g, np.array(modes.modes))
     else:
         raise ValueError(f"unknown mode-gain method {method!r}")
     entries.setflags(write=False)

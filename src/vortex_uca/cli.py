@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import channel_matrix, mode_channel_matrix, worst_approximation_error
+from .channel import _sweep_gains, channel_matrix, mode_channel_matrix, worst_approximation_error
 from .errors import (
-    DegenerateGeometry,
     ModeUnobservable,
     ParseError,
     ValidationError,
@@ -213,20 +212,20 @@ def render_config(config: RunConfig) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _fmt(value) -> str:
-    """CSV cell formatting: integers verbatim, reals with 13 significant digits."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12e}"
+def _cells(column) -> list[str]:
+    """One CSV column as text: integers verbatim, reals with 13 significant
+    digits, strings as they are."""
+    values = np.asarray(column)
+    form = {"i": str, "u": str, "f": "{:.12e}".format}.get(values.dtype.kind)
+    return list(map(form, values.tolist())) if form else values.tolist()
 
 
-def _write_csv(path: str, subcommand: str, config: RunConfig, notes, header, rows) -> None:
+def _write_csv(path: str, subcommand: str, config: RunConfig, notes, header, columns,
+               console=()) -> None:
     """Write one experiment CSV: column names first, then a '#' metadata
-    block (tool version, resolved config, defaults, notes), then data rows."""
-
-    def cell(value):
-        return value if isinstance(value, str) else _fmt(value)
-
+    block (tool version, resolved config, defaults, notes), then data rows
+    read across ``columns``, each column formatted in one pass.  Only then
+    print the ``console`` (stream, line) pairs, so a closed pipe costs no CSV."""
     lines = [",".join(header)]
     lines += [f"# vortex-uca {__version__}", f"# subcommand: {subcommand}"]
     lines += [f"# {note}" for note in notes]
@@ -234,9 +233,11 @@ def _write_csv(path: str, subcommand: str, config: RunConfig, notes, header, row
     lines += [f"#   {ln}" for ln in render_config(config).splitlines()]
     defaulted = " ".join(config.defaulted) if config.defaulted else "none"
     lines.append(f"# defaulted keys: {defaulted}")
-    lines += [",".join(cell(value) for value in row) for row in rows]
+    lines += map(",".join, zip(*map(_cells, columns)))
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
+    for stream, line in console:
+        print(line, file=stream)
 
 
 def _resolve_sweep(config: RunConfig, subcommand: str, grid_arg: str | None) -> RunConfig:
@@ -271,13 +272,19 @@ def _resolve_sweep(config: RunConfig, subcommand: str, grid_arg: str | None) -> 
     return dataclasses.replace(config, sweep=sweep, defaulted=tuple(defaulted))
 
 
-def _check_angle_grid(sweep: SweepSpec) -> None:
+def _angle_field(sweep: SweepSpec, geometry: LinkGeometry) -> str:
+    """Check an angle sweep against ``geometry``; return the field it sweeps."""
     if sweep.variable == "phi":
         if sweep.start < 0.0 or sweep.stop > HALF_PI + 1e-12:
             raise ValidationError("sweep", "phi grid must lie within [0, pi/2]")
     elif sweep.variable == "theta":
         if sweep.start < 0.0 or sweep.stop >= TWO_PI:
             raise ValidationError("sweep", "theta grid must lie within [0, 2*pi)")
+    # Every point must make a valid geometry; the largest angle is the one
+    # that can break the tilt bound.
+    fieldname = "tilt_phi" if sweep.variable == "phi" else "bearing_theta"
+    dataclasses.replace(geometry, **{fieldname: float(sweep.grid().max())})
+    return fieldname
 
 
 def run_error_sweep(config: RunConfig, out_path: str) -> None:
@@ -290,68 +297,51 @@ def run_error_sweep(config: RunConfig, out_path: str) -> None:
             raise ValidationError("sweep", f"element-count grid must be even integers, got {value}")
         sizes.append(int(rounded))
 
-    rows, notes = [], []
+    rows, excluded = [], []
     for n in sizes:
         geom = dataclasses.replace(config.geometry, n_tx=n, n_rx=n)
         modes = mode_index_set(geom)
         kept = [mode for mode in range(0, 9) if mode in modes]
-        for mode in range(0, 9):
-            if mode not in modes:
-                notes.append(f"excluded: mode {mode} outside the mode set of n_elements={n}")
-                print(f"note: mode {mode} outside the mode set of n_elements={n}; skipped",
-                      file=sys.stderr)
-        for mode, error in zip(kept, worst_approximation_error(geom, kept)):
-            rows.append((n, mode, error))
-    _write_csv(out_path, "error-sweep", config, notes,
-               ("n_elements", "mode", "log10_error"), rows)
+        excluded += [f"mode {mode} outside the mode set of n_elements={n}"
+                     for mode in range(0, 9) if mode not in modes]
+        rows += zip([n] * len(kept), kept, worst_approximation_error(geom, kept))
+    _write_csv(out_path, "error-sweep", config, [f"excluded: {x}" for x in excluded],
+               ("n_elements", "mode", "log10_error"), zip(*rows),
+               [(sys.stderr, f"note: {x}; skipped") for x in excluded])
 
 
 def run_gain_sweep(config: RunConfig, out_path: str) -> None:
     """Per-mode amplitude gains versus tilt (phi) or bearing (theta), as the sweep says."""
-    sweep = config.sweep
-    _check_angle_grid(sweep)
-    variable = sweep.variable
-    fieldname = "tilt_phi" if variable == "phi" else "bearing_theta"
-    geometry = config.geometry
-    panels = [m for m in _GAIN_PANELS if m <= geometry.n_rx]
-    modes = mode_index_set(geometry)
-
-    rows, notes = [], []
-    for angle in map(float, sweep.grid()):
-        geom = dataclasses.replace(geometry, **{fieldname: angle})
-        try:
-            gains = np.abs(mode_channel_matrix(geom, method="closed").entries)
-        except DegenerateGeometry:
-            gains = None
-        for m in panels:
-            for i, mode in enumerate(modes):
-                if gains is None:
-                    notes.append(f"gap: degenerate geometry at angle={angle!r} m={m} mode={mode}")
-                    print(f"note: degenerate geometry at angle={angle!r} m={m} mode={mode}",
-                          file=sys.stderr)
-                rows.append((angle, m, mode, math.nan if gains is None else gains[m - 1, i]))
-    subcommand = f"gain-vs-{variable}"
-    _write_csv(out_path, subcommand, config, notes,
-               ("angle_rad", "m", "mode", "gain"), rows)
+    sweep, geometry = config.sweep, config.geometry
+    fieldname = _angle_field(sweep, geometry)
+    grid = sweep.grid()
+    panels = np.array([m for m in _GAIN_PANELS if m <= geometry.n_rx])
+    modes = np.array(mode_index_set(geometry).modes)
+    gains, degenerate = _sweep_gains(geometry, fieldname, grid, panels)
+    columns = (np.repeat(grid, len(panels) * len(modes)),
+               np.tile(np.repeat(panels, len(modes)), len(grid)),
+               np.tile(modes, len(grid) * len(panels)), gains.ravel())
+    gaps = [f"degenerate geometry at angle={angle!r} m={m} mode={mode}"
+            for angle in grid[degenerate].tolist() for m in panels for mode in modes]
+    _write_csv(out_path, f"gain-vs-{sweep.variable}", config, [f"gap: {gap}" for gap in gaps],
+               ("angle_rad", "m", "mode", "gain"), columns,
+               [(sys.stderr, f"note: {gap}") for gap in gaps])
 
 
 def run_se_sweep(config: RunConfig, out_path: str) -> None:
     """Spectrum efficiency versus tilt angle."""
-    sweep = config.sweep
-    _check_angle_grid(sweep)
-    geometry = config.geometry
+    sweep, geometry = config.sweep, config.geometry
+    _angle_field(sweep, geometry)
     budget = LinkBudget.uniform(geometry, config.mode_power, config.noise_variance, config.seed)
-    rows, notes = [], []
-    for point in se_sweep(geometry, "phi", sweep.grid(), budget):
-        if point.spectrum_efficiency is None:
-            notes.append(f"gap: unevaluable point at phi={point.value!r}")
-            print(f"note: unevaluable point at phi={point.value!r}", file=sys.stderr)
-            rows.append((point.value, math.nan))
-        else:
-            rows.append((point.value, point.spectrum_efficiency))
+    points = se_sweep(geometry, "phi", sweep.grid(), budget)
+    gaps = [f"unevaluable point at phi={p.value!r}" for p in points
+            if p.spectrum_efficiency is None]
+    notes = [f"gap: {gap}" for gap in gaps]
     notes.append("budget: uniform per-mode power and per-element noise variance as configured")
+    se = [math.nan if p.spectrum_efficiency is None else p.spectrum_efficiency for p in points]
     _write_csv(out_path, "se-vs-phi", config, notes,
-               ("phi_rad", "spectrum_efficiency"), rows)
+               ("phi_rad", "spectrum_efficiency"), ([p.value for p in points], se),
+               [(sys.stderr, f"note: {gap}") for gap in gaps])
 
 
 def run_demux_demo(config: RunConfig, out_path: str) -> None:
@@ -359,9 +349,7 @@ def run_demux_demo(config: RunConfig, out_path: str) -> None:
     geometry = config.geometry
     modes = mode_index_set(geometry)
     rng = np.random.default_rng(config.seed)
-    symbols = ModeSymbolVector(
-        symbols=np.exp(2j * math.pi * rng.random(len(modes))), modes=modes
-    )
+    symbols = ModeSymbolVector(np.exp(2j * math.pi * rng.random(len(modes))), modes)
     noise = NoiseModel.uniform(config.noise_variance, geometry.n_rx, config.seed)
     mode_model = mode_channel_matrix(geometry, method="closed")
     exact = channel_matrix(geometry, variant="exact")
@@ -374,29 +362,29 @@ def run_demux_demo(config: RunConfig, out_path: str) -> None:
         ("exact", "noisy", propagate(tx, exact, noise, trial=2)),
     ]
 
-    rows, notes = [], []
-    print(f"demux demo: {len(modes)} modes, seed {config.seed}")
+    notes, errors = [], []
+    console = [(sys.stdout, f"demux demo: {len(modes)} modes, seed {config.seed}")]
     for variant, noise_tag, rx in received:
         try:
             out = demultiplex(rx, geometry)
         except ModeUnobservable as exc:
             notes.append(f"gap: {variant}/{noise_tag}: {exc}")
-            print(f"note: {variant}/{noise_tag}: {exc}", file=sys.stderr)
-            for mode in modes:
-                rows.append((variant, noise_tag, mode, math.nan))
+            console.append((sys.stderr, f"note: {variant}/{noise_tag}: {exc}"))
+            errors.append(np.full(len(modes), math.nan))
             continue
-        errors = np.abs(out.estimated_symbols - symbols.symbols)
-        for mode, err in zip(modes, errors):
-            rows.append((variant, noise_tag, mode, float(err)))
-        print(f"  {variant:<9} {noise_tag:<10} max |estimate - symbol| = {errors.max():.6e}")
+        errors.append(np.abs(out.estimated_symbols - symbols.symbols))
+        console.append((sys.stdout, f"  {variant:<9} {noise_tag:<10} "
+                                    f"max |estimate - symbol| = {errors[-1].max():.6e}"))
 
-    leakage = crosstalk_matrix(geometry)
-    off = np.abs(leakage - np.eye(len(modes)))
-    print(f"  crosstalk max off-diagonal = {off.max():.6e}")
+    off = np.abs(crosstalk_matrix(geometry) - np.eye(len(modes)))
+    console.append((sys.stdout, f"  crosstalk max off-diagonal = {off.max():.6e}"))
     notes.append(f"crosstalk_max_offdiagonal = {float(off.max())!r}")
 
+    columns = ([variant for variant, _, _ in received for _ in modes],
+               [noise_tag for _, noise_tag, _ in received for _ in modes],
+               np.tile(modes.modes, len(received)), np.concatenate(errors))
     _write_csv(out_path, "demux-demo", config, notes,
-               ("channel_variant", "noise", "mode", "symbol_error"), rows)
+               ("channel_variant", "noise", "mode", "symbol_error"), columns, console)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -433,12 +421,8 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, seed=args.seed)
         config = _resolve_sweep(config, args.subcommand, args.grid)
         if args.subcommand == "gain-vs-theta" and "geometry.phi_rad" in config.defaulted:
-            config = dataclasses.replace(
-                config,
-                geometry=dataclasses.replace(
-                    config.geometry, tilt_phi=_THETA_SWEEP_DEFAULT_TILT
-                ),
-            )
+            tilted = dataclasses.replace(config.geometry, tilt_phi=_THETA_SWEEP_DEFAULT_TILT)
+            config = dataclasses.replace(config, geometry=tilted)
         out_path = args.out or args.subcommand.replace("-", "_") + ".csv"
         runner = globals()[_SUBCOMMANDS[args.subcommand][1]]
         runner(config, out_path)

@@ -116,6 +116,11 @@ class LinkGeometry:
             self.center_distance**2 + self.radius_tx**2 + self.radius_rx**2
         )
 
+    @property
+    def farfield_amplitude(self) -> float:
+        """Magnitude beta*lambda/(4*pi*range) of every far-field element gain."""
+        return self.beta * self.wavelength / (4.0 * math.pi * self.farfield_range)
+
     def tx_angles(self, n=None) -> np.ndarray:
         """Azimuths 2*pi*(n-1)/N + alpha_tx of tx elements ``n`` (1-based
         index or index array); every element's when ``n`` is None."""
@@ -264,6 +269,17 @@ def approx_distance(m, n, geometry: LinkGeometry) -> np.ndarray:
     return srange - (term_rr + term_rx - term_tx) / srange
 
 
+def _offset_triangle(m, g: LinkGeometry, tilt, bearing) -> tuple[np.ndarray, ...]:
+    """(s*cos(gap), R - s*cos(gap), s*sin(gap), hypotenuse) of rx element(s) m and
+    the projected tx center, s = d*sin(tilt), gap = azimuth - bearing; ``tilt``
+    and ``bearing`` broadcast against the elements (a (P, 1) grid gives P rows)."""
+    gap = g.rx_angles(m) - bearing
+    inplane = g.center_distance * np.sin(tilt)
+    radial = inplane * np.cos(gap)
+    sin_leg, cos_leg = g.radius_rx - radial, inplane * np.sin(gap)
+    return radial, sin_leg, cos_leg, np.sqrt(sin_leg**2 + cos_leg**2)
+
+
 def zeta(m, geometry: LinkGeometry) -> np.ndarray:
     """Offset angle of rx element(s) m relative to the projected tx center.
 
@@ -274,11 +290,12 @@ def zeta(m, geometry: LinkGeometry) -> np.ndarray:
     (rx element radius and in-plane offset cancel simultaneously).
     """
     g = geometry
-    bearing_gap = g.rx_angles(m) - g.bearing_theta
-    inplane = g.center_distance * math.sin(g.tilt_phi)
-    sin_num = g.radius_rx - inplane * np.cos(bearing_gap)
-    cos_num = inplane * np.sin(bearing_gap)
-    denom = np.sqrt(sin_num**2 + cos_num**2)
+    return _zeta_of(m, g, _offset_triangle(m, g, g.tilt_phi, g.bearing_theta))
+
+
+def _zeta_of(m, g: LinkGeometry, triangle) -> np.ndarray:
+    """:func:`zeta` from the :func:`_offset_triangle` of rx element(s) m."""
+    _, sin_num, cos_num, denom = triangle
     degenerate = np.asarray(denom <= DEGENERACY_TOL)
     if degenerate.any():
         element = (np.arange(1, g.n_rx + 1) if m is None else np.asarray(m))[degenerate][0]

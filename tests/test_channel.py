@@ -7,6 +7,7 @@ import pytest
 
 import vortex_uca as v
 from conftest import random_geometry, reference_geometry
+from vortex_uca.channel import _sweep_gains
 
 # Frozen values for the default parameter set (independently recomputed
 # from the raw formulas with scipy Bessel functions before freezing).
@@ -293,7 +294,85 @@ def test_mode_channel_matrix_matches_scalar_ops():
         for mode in (-4, 0, 5):
             i = modes.index(mode)
             assert closed.entries[m - 1, i] == v.mode_gain_closed(m, mode, g)
-            assert direct.entries[m - 1, i] == v.mode_gain_direct(m, mode, g)
+            # One matrix product sums in another order than the scalar call.
+            assert direct.entries[m - 1, i] == pytest.approx(
+                v.mode_gain_direct(m, mode, g), rel=1e-12, abs=1e-13 * np.abs(direct.entries).max()
+            )
+
+
+def test_direct_matrix_matches_scalar_oracle():
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(40):
+        g = random_geometry(rng)
+        try:
+            direct = v.mode_channel_matrix(g, method="direct").entries
+        except v.DegenerateGeometry:
+            continue
+        checked += 1
+        scalar = np.array([
+            [v.mode_gain_direct(m, mode, g) for mode in v.mode_index_set(g)]
+            for m in range(1, g.n_rx + 1)
+        ])
+        np.testing.assert_allclose(direct, scalar, rtol=1e-12, atol=1e-13 * np.abs(scalar).max())
+    assert checked > 30
+
+
+def test_exact_channel_carries_mode_l_with_sign_parity():
+    # On a coaxial far-field link the exact channel delivers mode l as
+    # (-1)^l times its closed-form gain (README, "Model conventions").
+    g = reference_geometry(center_distance=1000.0)
+    l = np.array(v.mode_index_set(g).modes)
+    ramps = np.exp(1j * np.outer(g.tx_angles(), l)) / math.sqrt(g.n_tx)
+    exact = v.channel_matrix(g, "exact").entries @ ramps
+    closed = v.mode_channel_matrix(g, method="closed").entries
+    scale = np.abs(closed).max()
+    assert np.abs(exact - (-1.0) ** l * closed).max() / scale < 1e-8
+    assert np.abs(exact - closed).max() / scale > 1e-4
+
+
+def _per_point_gains(g, fieldname, grid, panels):
+    """Panel rows of |closed-form matrix| per grid point, and the degenerate points."""
+    gains, gaps = [], []
+    for k, angle in enumerate(grid):
+        try:
+            matrix = v.mode_channel_matrix(dataclasses.replace(g, **{fieldname: float(angle)}))
+        except v.DegenerateGeometry:
+            gaps.append(k)
+            gains.append(None)
+            continue
+        gains.append(np.abs(matrix.entries)[panels - 1])
+    return gains, gaps
+
+
+def _check_sweep_matches_per_point(g, fieldname, grid):
+    panels = np.arange(1, min(4, g.n_rx) + 1)
+    batch, degenerate = _sweep_gains(g, fieldname, grid, panels)
+    expected, gaps = _per_point_gains(g, fieldname, grid, panels)
+    assert list(np.flatnonzero(degenerate)) == gaps
+    for k, point in enumerate(expected):
+        if point is None:
+            assert np.all(np.isnan(batch[k]))
+        else:
+            np.testing.assert_allclose(batch[k], point, rtol=1e-12, atol=1e-12 * point.max())
+
+
+@pytest.mark.parametrize("fieldname", ["tilt_phi", "bearing_theta"])
+def test_gain_sweep_batch_matches_per_point(fieldname):
+    grids = {"tilt_phi": np.linspace(0.0, 0.5 * math.pi, 7),
+             "bearing_theta": np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)}
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        _check_sweep_matches_per_point(random_geometry(rng), fieldname, grids[fieldname])
+
+
+def test_gain_sweep_batch_gaps_match_per_point():
+    # At tilt pi/6 the in-plane offset d*sin(tilt) rounds to R within 1e-16
+    # on element 1's bearing, so only that point is degenerate.
+    g = v.LinkGeometry(n_tx=10, n_rx=10, radius_tx=0.1, radius_rx=0.5, center_distance=1.0)
+    grid = np.array([0.0, 0.3, math.pi / 6, 1.2])
+    _check_sweep_matches_per_point(g, "tilt_phi", grid)
+    assert np.isnan(_sweep_gains(g, "tilt_phi", grid, np.arange(1, 5))[0][2]).all()
 
 
 def test_degenerate_geometry_propagates():

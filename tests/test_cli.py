@@ -1,11 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vortex_uca as v
-from vortex_uca.cli import MAX_SWEEP_STEPS, SweepSpec, main, parse_config, render_config
+from vortex_uca.cli import MAX_SWEEP_STEPS, SweepSpec, _cells, main, parse_config, render_config
 
 
 def run_cli(*args):
@@ -223,6 +227,67 @@ def test_gain_sweep_theta_respects_explicit_tilt(tmp_path):
         assert max(values) - min(values) < 1e-12
 
 
+DEGENERATE_CONFIG = "[geometry]\nradius_rx_m = 0.5\ndistance_m = 1.0\n"
+DEGENERATE_GRID = "0.5235987755982988:0.5235987755982988:1"
+
+
+def test_gain_sweep_degenerate_point_is_a_gap(tmp_path, capsys):
+    # At tilt pi/6 the in-plane offset cancels rx element 1's radius.
+    config = tmp_path / "c.ini"
+    config.write_text(DEGENERATE_CONFIG)
+    out = tmp_path / "gain.csv"
+    assert run_cli("gain-vs-phi", "--config", str(config), "--out", str(out),
+                   "--grid", DEGENERATE_GRID) == 0
+    comments, _, rows = read_rows(out)
+    gaps = [c for c in comments if c.startswith("# gap: degenerate geometry at angle=")]
+    assert len(gaps) == 40
+    assert gaps[0] == "# gap: degenerate geometry at angle=0.5235987755982988 m=1 mode=-4"
+    assert len(rows) == 40 and all(r[3] == "nan" for r in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert len([ln for ln in err if ln.startswith("note: degenerate geometry at angle=")]) == 40
+
+
+def test_gain_sweep_checks_tilt_bound_per_point(tmp_path, capsys):
+    # pi/2 + 5e-13 passes the grid check but not the geometry's tilt bound.
+    out = tmp_path / "gain.csv"
+    assert run_cli("gain-vs-phi", "--out", str(out), "--grid", "0:1.5707963267953966:3") == 1
+    err = capsys.readouterr().err
+    assert err == "error: tilt_phi: must lie in [0, pi/2] after wrapping to [0, 2*pi)\n"
+    assert not out.exists()
+
+
+def _run_with_closed_pipe(stream, args):
+    """Run the CLI in a subprocess whose stdout or stderr is a pipe nobody reads."""
+    src = Path(v.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                             os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "vortex_uca.cli", *args], env=env,
+                              stdin=subprocess.DEVNULL, timeout=120, **{stream: write_end})
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "stream,args",
+    [
+        ("stdout", ("demux-demo",)),
+        ("stderr", ("gain-vs-phi", "--config", "{config}", "--grid", DEGENERATE_GRID)),
+    ],
+)
+def test_csv_survives_a_closed_console_pipe(tmp_path, capsys, stream, args):
+    config = tmp_path / "c.ini"
+    config.write_text(DEGENERATE_CONFIG)
+    args = [a.format(config=config) for a in args]
+    expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+    assert run_cli(*args, "--out", str(expected)) == 0
+    # The lost console still fails the run, but only after the CSV is written.
+    assert _run_with_closed_pipe(stream, [*args, "--out", str(out)]).returncode == 1
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_se_sweep_output(tmp_path):
     out = tmp_path / "se.csv"
     assert run_cli("se-vs-phi", "--out", str(out), "--grid", "0:1.2:13") == 0
@@ -231,6 +296,14 @@ def test_se_sweep_output(tmp_path):
     assert len(rows) == 13
     assert float(rows[0][1]) == pytest.approx(13.443259289434376, rel=1e-9)
     assert any("budget" in c for c in comments)
+
+
+def test_csv_columns_format_each_type_once():
+    ints = [0, -3, 2**40]
+    reals = [0.1, -0.0, math.nan, math.inf, 5e-324, 123456789.123456789]
+    assert _cells(np.array(ints)) == _cells(ints) == [str(i) for i in ints]
+    assert _cells(np.array(reals)) == _cells(reals) == [f"{x:.12e}" for x in reals]
+    assert _cells(["farfield", "exact"]) == ["farfield", "exact"]
 
 
 def test_csv_precision_and_config_block(tmp_path):

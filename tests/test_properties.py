@@ -135,3 +135,36 @@ def test_scaling_every_length_keeps_se(g, s):
     se, se_scaled = _se(g), _se(scaled)
     assume(se is not None and se_scaled is not None)
     assert math.isclose(se_scaled, se, rel_tol=1e-12)
+
+
+def _matrices(g):
+    """Exact, far-field and closed-form matrices, or None where the link degenerates."""
+    try:
+        return (v.channel_matrix(g, "exact").entries, v.channel_matrix(g, "farfield").entries,
+                v.mode_channel_matrix(g, "closed").entries)
+    except v.DegenerateGeometry:
+        return None
+
+
+@given(geometries())
+def test_shifting_rx_offset_by_one_element_rolls_rows(g):
+    # Element m of the shifted array sits where element m + 1 sat.
+    shifted = dataclasses.replace(g, offset_alpha_rx=g.offset_alpha_rx + TWO_PI / g.n_rx)
+    before, after = _matrices(g), _matrices(shifted)
+    assume(before is not None and after is not None)
+    for old, new in zip(before, after):
+        np.testing.assert_allclose(new, np.roll(old, -1, axis=0), rtol=1e-12,
+                                   atol=1e-12 * np.abs(old).max())
+    se, se_shifted = _se(g), _se(shifted)
+    assume(se is not None and se_shifted is not None)
+    assert math.isclose(se_shifted, se, rel_tol=1e-12)
+
+
+@given(geometries(), st.integers(0, 2**32 - 1))
+def test_synthesis_preserves_power(g, seed):
+    modes = v.mode_index_set(g)
+    draws = np.random.default_rng(seed).standard_normal((2, len(modes)))
+    symbols = v.ModeSymbolVector(symbols=draws[0] + 1j * draws[1], modes=modes)
+    samples = v.synthesize_transmit(symbols, g).samples
+    power = np.sum(np.abs(symbols.symbols) ** 2)
+    assert math.isclose(np.sum(np.abs(samples) ** 2), power, rel_tol=1e-12)
