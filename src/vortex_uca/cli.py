@@ -215,9 +215,14 @@ def render_config(config: RunConfig) -> str:
 def _cells(column) -> list[str]:
     """One CSV column as text: integers verbatim, reals with 13 significant
     digits, strings as they are."""
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
     values = np.asarray(column)
-    form = {"i": str, "u": str, "f": "{:.12e}".format}.get(values.dtype.kind)
-    return list(map(form, values.tolist())) if form else values.tolist()
+    kind = values.dtype.kind
+    if kind == "f":
+        # One formatting operation for the whole column.
+        return ("%.12e\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    return list(map(str, values.tolist())) if kind in "iu" else values.tolist()
 
 
 def _write_csv(path: str, subcommand: str, config: RunConfig, notes, header, columns,
@@ -318,9 +323,12 @@ def run_gain_sweep(config: RunConfig, out_path: str) -> None:
     panels = np.array([m for m in _GAIN_PANELS if m <= geometry.n_rx])
     modes = np.array(mode_index_set(geometry).modes)
     gains, degenerate = _sweep_gains(geometry, fieldname, grid, panels)
-    columns = (np.repeat(grid, len(panels) * len(modes)),
-               np.tile(np.repeat(panels, len(modes)), len(grid)),
-               np.tile(modes, len(grid) * len(panels)), gains.ravel())
+    # Rows run angle-major, then panel, then mode: each repeated column is
+    # formatted once from its source vector and its strings repeated.
+    per_angle = len(panels) * len(modes)
+    columns = ([cell for cell in _cells(grid) for _ in range(per_angle)],
+               [cell for cell in _cells(panels) for _ in range(len(modes))] * len(grid),
+               _cells(modes) * (len(grid) * len(panels)), gains.ravel())
     gaps = [f"degenerate geometry at angle={angle!r} m={m} mode={mode}"
             for angle in grid[degenerate].tolist() for m in panels for mode in modes]
     _write_csv(out_path, f"gain-vs-{sweep.variable}", config, [f"gap: {gap}" for gap in gaps],
@@ -392,13 +400,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vortex-uca",
         description="OAM link experiments for non-coaxial uniform circular arrays",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, _, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="config file (defaults when omitted)")
-        p.add_argument("--out", metavar="PATH", help="output CSV path")
-        p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-        p.add_argument("--grid", metavar="START:STOP:STEPS", help="override the sweep grid")
+    parser.add_argument("subcommand", choices=_SUBCOMMANDS, metavar="SUBCOMMAND",
+                        help="; ".join(f"{name}: {help_text}"
+                                       for name, (help_text, _, _) in _SUBCOMMANDS.items()))
+    parser.add_argument("--config", metavar="PATH", help="config file (defaults when omitted)")
+    parser.add_argument("--out", metavar="PATH", help="output CSV path")
+    parser.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
+    parser.add_argument("--grid", metavar="START:STOP:STEPS", help="override the sweep grid")
     return parser
 
 
@@ -427,7 +435,10 @@ def main(argv=None) -> int:
         runner = globals()[_SUBCOMMANDS[args.subcommand][1]]
         runner(config, out_path)
     except (VortexUcaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass  # stderr is gone as well; the exit status still reports the failure
         return 1
     return 0
 

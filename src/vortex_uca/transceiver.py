@@ -9,7 +9,7 @@ elements; the phase ramps of distinct modes cancel in that sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -56,13 +56,27 @@ class ElementSignalVector:
         return len(self.samples)
 
 
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer, [0] for zero.
+
+    The split ``SeedSequence`` applies to each integer of a seed list.
+    """
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Per-receive-element circular complex Gaussian noise, seeded.
 
     ``sample(trial)`` is a pure function of (seed, trial): the same pair
     always reproduces the same draw, and distinct trials are independent
-    streams, so Monte Carlo loops parallelize without coordination.
+    streams, so Monte Carlo loops parallelize without coordination.  The
+    stream is the one ``numpy.random.default_rng([seed, trial])`` gives.
     """
 
     variances: np.ndarray
@@ -79,10 +93,12 @@ class NoiseModel:
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
-        # Per-element draw scale, fixed here rather than per sample.
+        # Per-element draw scale and the seed's entropy words, fixed here
+        # rather than per sample.
         scale = np.sqrt(v / 2.0)
         scale.setflags(write=False)
         object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_seed_words", _uint32_words(self.seed))
 
     @classmethod
     def uniform(cls, variance: float, n_rx: int, seed: int) -> "NoiseModel":
@@ -91,19 +107,41 @@ class NoiseModel:
     def sample(self, trial: int = 0) -> np.ndarray:
         if trial < 0:
             raise ValueError("trial must be >= 0")
-        rng = np.random.default_rng([self.seed, int(trial)])
-        pairs = rng.standard_normal((2, len(self.variances)))
-        return self._scale * (pairs[0] + 1j * pairs[1])
+        # The entropy default_rng([seed, trial]) assembles, without its
+        # per-call conversion of the seed.  numpy.random is looked up here,
+        # not imported with the package: loading it costs start-up time and
+        # about 6 MB of memory that runs without noise never need.
+        words = self._seed_words + _uint32_words(int(trial))
+        random = np.random
+        rng = random.Generator(random.PCG64(random.SeedSequence(np.array(words, dtype=np.uint32))))
+        n = len(self._scale)
+        pairs = rng.standard_normal((2, n))
+        draw = np.empty(n, dtype=complex)
+        draw.real = pairs[0]
+        draw.imag = pairs[1]
+        draw *= self._scale
+        return draw
 
 
 @dataclass(frozen=True, eq=False)
 class DemuxOutput:
-    """Decomposition products: per-element terms, their sums, and symbol estimates."""
+    """Decomposition products: per-mode sums and symbol estimates.
+
+    ``per_element_terms`` (n_rx, n_modes), the summands of ``per_mode``, is
+    computed when read, from the receive samples and weights kept here.
+    """
 
     per_mode: np.ndarray  # (n_modes,) summed over elements
-    per_element_terms: np.ndarray  # (n_rx, n_modes)
     estimated_symbols: np.ndarray  # (n_modes,)
     modes: ModeIndexSet
+    samples: np.ndarray = field(repr=False)  # (n_rx,) the receive samples demultiplexed
+    weights: np.ndarray = field(repr=False)  # (n_rx, n_modes) inverse gain per (element, mode)
+
+    @property
+    def per_element_terms(self) -> np.ndarray:
+        terms = self.samples[:, None] * self.weights
+        terms.setflags(write=False)
+        return terms
 
 
 @lru_cache(maxsize=64)
@@ -205,17 +243,12 @@ def demultiplex(rx: ElementSignalVector, geometry: LinkGeometry) -> DemuxOutput:
     if len(rx) != g.n_rx:
         raise LengthMismatch(f"{len(rx)} rx samples for {g.n_rx} elements")
     weights, modes, norm = _demux_weights(g)
-    terms = rx.samples[:, None] * weights
-    per_mode = terms.sum(axis=0)
+    samples = rx.samples.copy()  # the caller may still write into rx.samples
+    per_mode = samples @ weights
     estimates = per_mode / norm
-    for arr in (terms, per_mode, estimates):
+    for arr in (samples, per_mode, estimates):
         arr.setflags(write=False)
-    return DemuxOutput(
-        per_mode=per_mode,
-        per_element_terms=terms,
-        estimated_symbols=estimates,
-        modes=modes,
-    )
+    return DemuxOutput(per_mode, estimates, modes, samples, weights)
 
 
 def crosstalk_matrix(geometry: LinkGeometry) -> np.ndarray:

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import vortex_uca as v
-from vortex_uca.cli import MAX_SWEEP_STEPS, SweepSpec, _cells, main, parse_config, render_config
+from vortex_uca.cli import (
+    _SUBCOMMANDS,
+    MAX_SWEEP_STEPS,
+    SweepSpec,
+    _cells,
+    main,
+    parse_config,
+    render_config,
+)
 
 
 def run_cli(*args):
@@ -286,6 +294,39 @@ def test_csv_survives_a_closed_console_pipe(tmp_path, capsys, stream, args):
     # The lost console still fails the run, but only after the CSV is written.
     assert _run_with_closed_pipe(stream, [*args, "--out", str(out)]).returncode == 1
     assert out.read_bytes() == expected.read_bytes()
+
+
+class _ClosedStream:
+    """A console stream whose reader is gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_error_report_on_a_closed_stderr_still_returns_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", _ClosedStream())
+    out = tmp_path / "se.csv"
+    assert run_cli("se-vs-phi", "--grid", "1:0:3", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("--help")
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        assert f"{name}: {help_text}" in text
+
+
+def test_unknown_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("gain-vs-psi")
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'gain-vs-psi'" in capsys.readouterr().err
 
 
 def test_se_sweep_output(tmp_path):

@@ -168,3 +168,30 @@ def test_synthesis_preserves_power(g, seed):
     samples = v.synthesize_transmit(symbols, g).samples
     power = np.sum(np.abs(symbols.symbols) ** 2)
     assert math.isclose(np.sum(np.abs(samples) ** 2), power, rel_tol=1e-12)
+
+
+# The benchmark's screen for demux links: below this min |c| the noiseless
+# round trip loses more than 1e-9 to cancellation between modes.
+DEMUX_MIN_GAIN = 1e-5
+
+
+@given(geometries(), st.integers(0, 2**32 - 1))
+def test_demultiplex_undoes_the_mode_model(g, seed):
+    # A coaxial link with as many rx as tx elements: no leakage between modes.
+    g = dataclasses.replace(g, tilt_phi=0.0, n_rx=g.n_tx)
+    modes = v.mode_index_set(g)
+    assume(np.abs(v.mode_gain_factors(g).c_matrix(modes.modes)).min() >= DEMUX_MIN_GAIN)
+    matrix = v.mode_channel_matrix(g)
+    draws = np.random.default_rng(seed).standard_normal((2, len(modes)))
+    symbols = v.ModeSymbolVector(symbols=draws[0] + 1j * draws[1], modes=modes)
+    rx = v.propagate_mode_model(symbols, matrix)
+    out = v.demultiplex(rx, g)
+    assert np.all(np.abs(out.estimated_symbols - symbols.symbols) <= 1e-9)
+    # per_mode is a matrix-vector product, so it rounds unlike a column sum
+    # of the terms; the rounding scales with the terms' magnitudes.
+    assert not out.per_element_terms.flags.writeable
+    magnitude = np.abs(out.per_element_terms).sum(axis=0)
+    assert np.all(np.abs(out.per_element_terms.sum(axis=0) - out.per_mode) <= 1e-12 * magnitude)
+    # The output keeps its own copy of the samples.
+    rx.samples[:] = 0.0
+    assert np.all(np.abs(out.per_element_terms.sum(axis=0) - out.per_mode) <= 1e-12 * magnitude)

@@ -137,12 +137,14 @@ def test_noise_model_reproducible_streams():
 
 
 def test_noise_sample_is_the_scaled_seeded_draw():
+    # Seeds and trials on both sides of each 32-bit entropy-word boundary.
     variances = np.array([0.5, 2.0, 0.0, 1e-4, 3.0])
-    noise = v.NoiseModel(variances=variances, seed=2**63 + 5)
-    for trial in (0, 1, 17):
-        a, b = np.random.default_rng([2**63 + 5, trial]).standard_normal((2, len(variances)))
-        expected = np.sqrt(variances / 2) * (a + 1j * b)
-        assert noise.sample(trial).tobytes() == expected.tobytes()
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1):
+        noise = v.NoiseModel(variances=variances, seed=seed)
+        for trial in (0, 1, 17, 2**32 - 1, 2**32, 2**40 + 3):
+            a, b = np.random.default_rng([seed, trial]).standard_normal((2, len(variances)))
+            expected = np.sqrt(variances / 2) * (a + 1j * b)
+            assert noise.sample(trial).tobytes() == expected.tobytes()
 
 
 def test_noise_model_validation():
