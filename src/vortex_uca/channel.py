@@ -31,7 +31,6 @@ from .geometry import (
     DEGENERACY_TOL,
     TWO_PI,
     LinkGeometry,
-    ModeIndexSet,
     exact_distance,
     _offset_triangle,
     _zeta_of,
@@ -44,44 +43,6 @@ _LOG_FLOOR = 1e-300
 
 # Per-mode inversion refuses gain factors smaller than this.
 INVERSION_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """Element-to-element gains, rx elements as rows, tx elements as columns."""
-
-    entries: np.ndarray  # (n_rx, n_tx) complex
-    variant: str  # "exact" | "farfield"
-
-    def __post_init__(self):
-        if self.variant not in ("exact", "farfield"):
-            raise ValueError(f"unknown channel variant {self.variant!r}")
-        if self.entries.ndim != 2:
-            raise ValueError("channel entries must be a 2-D matrix")
-
-    @property
-    def n_rx(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class ModeChannelMatrix:
-    """Per-mode gains at each receive element, one column per mode."""
-
-    entries: np.ndarray  # (n_rx, n_modes) complex
-    modes: ModeIndexSet
-
-    def __post_init__(self):
-        if self.entries.ndim != 2 or self.entries.shape[1] != len(self.modes):
-            raise ValueError("mode matrix shape does not match mode set")
-
-    @property
-    def n_rx(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +174,7 @@ def _sweep_gains(geometry: LinkGeometry, fieldname: str, grid, rows) -> tuple[np
     angles[fieldname] = np.asarray(grid, dtype=float)[:, None]
     spread = _offset_triangle(None, g, angles["tilt_phi"], angles["bearing_theta"])[3]
     degenerate = np.any(spread <= DEGENERACY_TOL, axis=1)
-    l = np.abs(mode_index_set(g).modes)
+    l = np.abs(mode_index_set(g))
     j = bessel_table(int(l.max()), _bessel_argument(g, spread[:, np.asarray(rows) - 1]))
     gains = math.sqrt(g.n_tx) * g.farfield_amplitude * np.abs(np.moveaxis(j[l], 0, -1))
     gains[degenerate] = np.nan
@@ -315,11 +276,12 @@ def _direct_gains(geometry: LinkGeometry, l: np.ndarray) -> np.ndarray:
     times the transmit index ramps exp(j*2*pi*(n-1)*l/N), over sqrt(N)."""
     g = geometry
     ramps = np.exp(1j * TWO_PI * np.arange(g.n_tx)[:, None] * l / g.n_tx)
-    return channel_matrix(g, "farfield").entries @ ramps / math.sqrt(g.n_tx)
+    return channel_matrix(g, "farfield") @ ramps / math.sqrt(g.n_tx)
 
 
-def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> ChannelMatrix:
-    """Assemble the full element-to-element gain matrix in one call on index grids."""
+def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> np.ndarray:
+    """Read-only element-to-element gains, rx elements (rows) by tx elements,
+    from one call on index grids; ``variant`` is "exact" or "farfield"."""
     g = geometry
     if variant == "exact":
         gain = exact_channel_gain
@@ -329,11 +291,12 @@ def channel_matrix(geometry: LinkGeometry, variant: str = "exact") -> ChannelMat
         raise ValueError(f"unknown channel variant {variant!r}")
     entries = gain(np.arange(1, g.n_rx + 1)[:, None], np.arange(1, g.n_tx + 1), g)
     entries.setflags(write=False)
-    return ChannelMatrix(entries=entries, variant=variant)
+    return entries
 
 
-def mode_channel_matrix(geometry: LinkGeometry, method: str = "closed") -> ModeChannelMatrix:
-    """Assemble the per-mode gain matrix (one column per mode).
+def mode_channel_matrix(geometry: LinkGeometry, method: str = "closed") -> np.ndarray:
+    """Read-only per-mode gains, rx elements (rows) by the modes of
+    :func:`mode_index_set` (columns).
 
     ``method="closed"`` uses the closed form; ``method="direct"`` the
     finite sums of :func:`mode_gain_direct`, as one far-field matrix product.
@@ -343,8 +306,8 @@ def mode_channel_matrix(geometry: LinkGeometry, method: str = "closed") -> ModeC
     if method == "closed":
         entries = _closed_gains(g, modes)
     elif method == "direct":
-        entries = _direct_gains(g, np.array(modes.modes))
+        entries = _direct_gains(g, np.array(modes))
     else:
         raise ValueError(f"unknown mode-gain method {method!r}")
     entries.setflags(write=False)
-    return ModeChannelMatrix(entries=entries, modes=modes)
+    return entries

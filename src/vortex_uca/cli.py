@@ -277,19 +277,15 @@ def _resolve_sweep(config: RunConfig, subcommand: str, grid_arg: str | None) -> 
     return dataclasses.replace(config, sweep=sweep, defaulted=tuple(defaulted))
 
 
-def _angle_field(sweep: SweepSpec, geometry: LinkGeometry) -> str:
-    """Check an angle sweep against ``geometry``; return the field it sweeps."""
+def _angle_field(sweep: SweepSpec) -> str:
+    """Check an angle sweep's bounds; return the LinkGeometry field it sweeps."""
     if sweep.variable == "phi":
-        if sweep.start < 0.0 or sweep.stop > HALF_PI + 1e-12:
+        if sweep.start < 0.0 or sweep.stop > HALF_PI:
             raise ValidationError("sweep", "phi grid must lie within [0, pi/2]")
     elif sweep.variable == "theta":
         if sweep.start < 0.0 or sweep.stop >= TWO_PI:
             raise ValidationError("sweep", "theta grid must lie within [0, 2*pi)")
-    # Every point must make a valid geometry; the largest angle is the one
-    # that can break the tilt bound.
-    fieldname = "tilt_phi" if sweep.variable == "phi" else "bearing_theta"
-    dataclasses.replace(geometry, **{fieldname: float(sweep.grid().max())})
-    return fieldname
+    return "tilt_phi" if sweep.variable == "phi" else "bearing_theta"
 
 
 def run_error_sweep(config: RunConfig, out_path: str) -> None:
@@ -318,10 +314,10 @@ def run_error_sweep(config: RunConfig, out_path: str) -> None:
 def run_gain_sweep(config: RunConfig, out_path: str) -> None:
     """Per-mode amplitude gains versus tilt (phi) or bearing (theta), as the sweep says."""
     sweep, geometry = config.sweep, config.geometry
-    fieldname = _angle_field(sweep, geometry)
+    fieldname = _angle_field(sweep)
     grid = sweep.grid()
     panels = np.array([m for m in _GAIN_PANELS if m <= geometry.n_rx])
-    modes = np.array(mode_index_set(geometry).modes)
+    modes = np.array(mode_index_set(geometry))
     gains, degenerate = _sweep_gains(geometry, fieldname, grid, panels)
     # Rows run angle-major, then panel, then mode: each repeated column is
     # formatted once from its source vector and its strings repeated.
@@ -339,7 +335,7 @@ def run_gain_sweep(config: RunConfig, out_path: str) -> None:
 def run_se_sweep(config: RunConfig, out_path: str) -> None:
     """Spectrum efficiency versus tilt angle."""
     sweep, geometry = config.sweep, config.geometry
-    _angle_field(sweep, geometry)
+    _angle_field(sweep)
     budget = LinkBudget.uniform(geometry, config.mode_power, config.noise_variance, config.seed)
     points = se_sweep(geometry, "phi", sweep.grid(), budget)
     gaps = [f"unevaluable point at phi={p.value!r}" for p in points
@@ -390,7 +386,7 @@ def run_demux_demo(config: RunConfig, out_path: str) -> None:
 
     columns = ([variant for variant, _, _ in received for _ in modes],
                [noise_tag for _, noise_tag, _ in received for _ in modes],
-               np.tile(modes.modes, len(received)), np.concatenate(errors))
+               np.tile(modes, len(received)), np.concatenate(errors))
     _write_csv(out_path, "demux-demo", config, notes,
                ("channel_variant", "noise", "mode", "symbol_error"), columns, console)
 

@@ -27,7 +27,7 @@ class DegenerateGeometry(VortexUcaError):
 
 
 class OrderOutOfRange(VortexUcaError):
-    """Bessel order outside the supported range."""
+    """Bessel order or argument outside the supported range."""
 
 
 class CaseMismatch(VortexUcaError):

@@ -141,47 +141,15 @@ def _azimuths(count: int, offset: float, index, side: str) -> np.ndarray:
     return TWO_PI * k / count + offset
 
 
-def _floor_toward_zero(value: float) -> int:
-    # Lower mode bound rounds toward zero: ceil for negative values,
-    # floor otherwise.  Keeps the set at exactly N consecutive integers
-    # for even N.
-    if value < 0.0:
-        return math.ceil(value)
-    return math.floor(value)
+def _mode_numbers(n: int) -> tuple[int, ...]:
+    """Mode numbers an n-element array carries: (2-n)/2 .. n/2, both bounds
+    truncated toward zero, so n consecutive integers for even n, n-1 for odd."""
+    return tuple(range(math.trunc((2 - n) / 2), n // 2 + 1))
 
 
-@dataclass(frozen=True)
-class ModeIndexSet:
-    """Strictly increasing set of integer mode numbers carried by the link."""
-
-    modes: tuple[int, ...]
-
-    @classmethod
-    def for_element_count(cls, n: int) -> "ModeIndexSet":
-        lower = _floor_toward_zero((2 - n) / 2)
-        upper = _floor_toward_zero(n / 2)
-        return cls(tuple(range(lower, upper + 1)))
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def __iter__(self):
-        return iter(self.modes)
-
-    def __contains__(self, mode: int) -> bool:
-        return mode in self.modes
-
-    def index(self, mode: int) -> int:
-        """Column position of ``mode`` in matrices ordered like this set."""
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise ValueError(f"mode {mode} not in mode set {self.modes}") from None
-
-
-def mode_index_set(geometry: LinkGeometry) -> ModeIndexSet:
-    """Mode numbers supported by the transmit array size."""
-    return ModeIndexSet.for_element_count(geometry.n_tx)
+def mode_index_set(geometry: LinkGeometry) -> tuple[int, ...]:
+    """Mode numbers supported by the transmit array size, in increasing order."""
+    return _mode_numbers(geometry.n_tx)
 
 
 def element_positions(geometry: LinkGeometry) -> tuple[np.ndarray, np.ndarray]:

@@ -89,13 +89,18 @@ def spectrum_efficiency(geometry: LinkGeometry, budget: LinkBudget) -> float:
             f"{len(budget.mode_powers)} mode powers for {len(modes)} modes"
         )
     h_power = abs(mode_gain_factors(g).h_scalar) ** 2
-    variances = _aggregate_variances(g, budget.noise, modes.modes)
+    variances = _aggregate_variances(g, budget.noise, modes)
     total = 0.0
-    for power, variance in zip(budget.mode_powers, variances):
+    for power, variance in zip(budget.mode_powers.tolist(), variances.tolist()):
         if variance == 0.0:
             total += math.inf if power > 0 else 0.0
-        else:
-            total += math.log2(1.0 + g.n_rx**2 * h_power * power / variance)
+            continue
+        snr = g.n_rx**2 * h_power * power / variance
+        if snr < math.inf:
+            total += math.log2(1.0 + snr)
+        else:  # past the float range 1 + snr is snr, whose log is a sum of finite logs
+            total += (2.0 * math.log2(g.n_rx) + math.log2(h_power) + math.log2(power)
+                      - math.log2(variance))
     return total
 
 

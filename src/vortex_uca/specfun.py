@@ -17,6 +17,10 @@ from .errors import OrderOutOfRange
 
 MAX_ORDER = 64
 
+# Largest |argument| evaluated: the recurrence starts above max(order, x),
+# so its cost grows with x: tens of milliseconds for one table at this bound.
+MAX_ARGUMENT = 1e4
+
 # Smaller arguments are evaluated here, which keeps 2k/x finite; every row
 # but J_0 = 1 is below 1e-300 in magnitude on both sides.
 _TINY_ARG = 1e-300
@@ -51,12 +55,15 @@ def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
     keeping q_1..q_max_order.  At odd k the sum S = sum_{even k>=2} J_k/J_0
     grows in Horner form, S <- q_k q_{k+1} (1 + S), so J_0 = 1/(1 + 2S) and
     J_k = J_0 q_1 ... q_k.  x = 0 is exact: J_0 = 1 and every other row 0.
-    Negative x fold through J_l(-x) = (-1)^l J_l(x).
+    Negative x fold through J_l(-x) = (-1)^l J_l(x).  |x| above MAX_ARGUMENT
+    raises :class:`OrderOutOfRange`.
     """
     negative = x < 0.0
     zero = x == 0.0
     x = np.maximum(np.abs(x), _TINY_ARG)
     top = float(np.max(x, initial=_TINY_ARG))
+    if top > MAX_ARGUMENT:
+        raise OrderOutOfRange(f"Bessel argument |x| = {top:.6g} exceeds {MAX_ARGUMENT:g}")
     start = int(max(max_order, math.ceil(top))) + 20 + int(4.0 * math.sqrt(max(max_order, top)))
     rows = np.empty((max_order + 1, len(x)))
     two_over_x = 2.0 / x

@@ -9,51 +9,29 @@ elements; the phase ramps of distinct modes cancel in that sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import (
-    ChannelMatrix,
-    ModeChannelMatrix,
-    _check_invertible,
-    _closed_gains,
-    mode_gain_factors,
-)
+from .channel import _check_invertible, _closed_gains, mode_gain_factors
 from .errors import LengthMismatch
-from .geometry import TWO_PI, LinkGeometry, ModeIndexSet, mode_index_set
+from .geometry import TWO_PI, LinkGeometry, _mode_numbers, mode_index_set
 
 
 @dataclass(frozen=True, eq=False)
 class ModeSymbolVector:
-    """One complex symbol per mode, ordered like its mode set."""
+    """One complex symbol per mode, ordered like its mode numbers."""
 
     symbols: np.ndarray
-    modes: ModeIndexSet
+    modes: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(self.modes))
         if self.symbols.ndim != 1 or len(self.symbols) != len(self.modes):
             raise LengthMismatch(
                 f"{len(self.symbols)} symbols for {len(self.modes)} modes"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class ElementSignalVector:
-    """One complex sample per array element; ``side`` is 'tx' or 'rx'."""
-
-    samples: np.ndarray
-    side: str
-
-    def __post_init__(self):
-        if self.side not in ("tx", "rx"):
-            raise ValueError(f"side must be 'tx' or 'rx', got {self.side!r}")
-        if self.samples.ndim != 1:
-            raise LengthMismatch("element signal must be a 1-D vector")
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -125,43 +103,32 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class DemuxOutput:
-    """Decomposition products: per-mode sums and symbol estimates.
-
-    ``per_element_terms`` (n_rx, n_modes), the summands of ``per_mode``, is
-    computed when read, from the receive samples and weights kept here.
-    """
+    """Decomposition products: per-mode sums over the elements and symbol estimates."""
 
     per_mode: np.ndarray  # (n_modes,) summed over elements
     estimated_symbols: np.ndarray  # (n_modes,)
-    modes: ModeIndexSet
-    samples: np.ndarray = field(repr=False)  # (n_rx,) the receive samples demultiplexed
-    weights: np.ndarray = field(repr=False)  # (n_rx, n_modes) inverse gain per (element, mode)
-
-    @property
-    def per_element_terms(self) -> np.ndarray:
-        terms = self.samples[:, None] * self.weights
-        terms.setflags(write=False)
-        return terms
+    modes: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
-def _phase_ramps(n_tx: int) -> tuple[ModeIndexSet, np.ndarray, np.ndarray]:
+def _phase_ramps(n_tx: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """(modes, mode numbers, ramp table) of an n_tx-element transmit array.
 
     The table holds exp(j*2*pi*k*l/N)/sqrt(N), tx element k = 0..N-1 by mode
     l: the feed of a zero-offset array, which depends on N alone.  The phase
     index k*l is reduced mod N first, so no entry's exponent exceeds 2*pi.
     """
-    modes = ModeIndexSet.for_element_count(n_tx)
-    l = np.array(modes.modes)
+    modes = _mode_numbers(n_tx)
+    l = np.array(modes)
     table = np.exp(1j * TWO_PI * (np.outer(np.arange(n_tx), l) % n_tx) / n_tx) / math.sqrt(n_tx)
     for arr in (l, table):
         arr.setflags(write=False)
     return modes, l, table
 
 
-def synthesize_transmit(symbols: ModeSymbolVector, geometry: LinkGeometry) -> ElementSignalVector:
-    """Element feed signals for a symbol vector (an isometry: power is preserved).
+def synthesize_transmit(symbols: ModeSymbolVector, geometry: LinkGeometry) -> np.ndarray:
+    """Feed samples of the n_tx elements for a symbol vector (an isometry:
+    power is preserved).
 
     The tx offset rotates mode l by exp(j*alpha_tx*l); the rest is the
     cached ramp table of the element count.
@@ -170,51 +137,49 @@ def synthesize_transmit(symbols: ModeSymbolVector, geometry: LinkGeometry) -> El
     modes, l, table = _phase_ramps(g.n_tx)
     if symbols.modes != modes:
         raise LengthMismatch(
-            f"symbol modes {symbols.modes.modes} do not match geometry modes {modes.modes}"
+            f"symbol modes {symbols.modes} do not match geometry modes {modes}"
         )
-    samples = table @ (symbols.symbols * np.exp(1j * g.offset_alpha_tx * l))
-    return ElementSignalVector(samples=samples, side="tx")
+    return table @ (symbols.symbols * np.exp(1j * g.offset_alpha_tx * l))
 
 
-def _received(
-    samples: np.ndarray, n_rx: int, noise: NoiseModel | None, trial: int
-) -> ElementSignalVector:
-    """Receive-side vector: noiseless ``samples`` plus the trial's noise draw, if any."""
+def _received(matrix: np.ndarray, vector: np.ndarray, noise: NoiseModel | None,
+              trial: int) -> np.ndarray:
+    """Receive samples ``matrix @ vector`` plus the trial's noise draw, if any."""
+    if matrix.ndim != 2 or vector.ndim != 1 or matrix.shape[1] != len(vector):
+        raise LengthMismatch(f"{vector.shape} input into a {matrix.shape} matrix")
+    samples = matrix @ vector
     if noise is not None:
-        if len(noise.variances) != n_rx:
-            raise LengthMismatch(f"{len(noise.variances)} noise variances for {n_rx} rx elements")
+        if len(noise.variances) != len(samples):
+            raise LengthMismatch(
+                f"{len(noise.variances)} noise variances for {len(samples)} rx elements"
+            )
         samples = samples + noise.sample(trial)
-    return ElementSignalVector(samples=samples, side="rx")
+    return samples
 
 
 def propagate(
-    tx: ElementSignalVector,
-    channel: ChannelMatrix,
+    tx: np.ndarray,
+    channel: np.ndarray,
     noise: NoiseModel | None = None,
     trial: int = 0,
-) -> ElementSignalVector:
-    """Receive-side samples y = H x (+ z) through an element-gain matrix."""
-    if tx.side != "tx":
-        raise LengthMismatch("propagate expects a tx-side signal")
-    if len(tx) != channel.n_tx:
-        raise LengthMismatch(f"{len(tx)} tx samples into a {channel.n_tx}-column channel")
-    return _received(channel.entries @ tx.samples, channel.n_rx, noise, trial)
+) -> np.ndarray:
+    """Receive samples y = H x (+ z) of tx feed samples through an
+    element-gain matrix (rx elements by tx elements)."""
+    return _received(channel, tx, noise, trial)
 
 
 def propagate_mode_model(
     symbols: ModeSymbolVector,
-    mode_matrix: ModeChannelMatrix,
+    mode_matrix: np.ndarray,
     noise: NoiseModel | None = None,
     trial: int = 0,
-) -> ElementSignalVector:
-    """Receive-side samples under the per-mode gain model: y = H~ s (+ z)."""
-    if symbols.modes != mode_matrix.modes:
-        raise LengthMismatch("symbol modes do not match mode-matrix modes")
-    return _received(mode_matrix.entries @ symbols.symbols, mode_matrix.n_rx, noise, trial)
+) -> np.ndarray:
+    """Receive samples under the per-mode gain model: y = H~ s (+ z)."""
+    return _received(mode_matrix, symbols.symbols, noise, trial)
 
 
 @lru_cache(maxsize=256)
-def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, ModeIndexSet, complex]:
+def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, tuple[int, ...], complex]:
     """(weights h / gain per (element, mode), modes, estimate normalizer M*h).
 
     Raises when a mode is uninvertible.  The factor magnitude |c| is
@@ -224,31 +189,28 @@ def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, ModeIndexSet, co
     h = mode_gain_factors(g).h_scalar
     modes = mode_index_set(g)
     gains = _closed_gains(g, modes)
-    _check_invertible(np.abs(gains) / abs(h), modes.modes)
+    _check_invertible(np.abs(gains) / abs(h), modes)
     weights = h / gains
     weights.setflags(write=False)
     return weights, modes, g.n_rx * h
 
 
-def demultiplex(rx: ElementSignalVector, geometry: LinkGeometry) -> DemuxOutput:
-    """Split a receive vector into per-mode components and symbol estimates.
+def demultiplex(rx: np.ndarray, geometry: LinkGeometry) -> DemuxOutput:
+    """Split the n_rx receive samples into per-mode components and symbol estimates.
 
     Each element sample is multiplied by the inverse closed-form gain factor
     and the conjugate offset phase for the probed mode, then summed across
     elements; estimates divide by M times the common gain scale.
     """
     g = geometry
-    if rx.side != "rx":
-        raise LengthMismatch("demultiplex expects an rx-side signal")
-    if len(rx) != g.n_rx:
-        raise LengthMismatch(f"{len(rx)} rx samples for {g.n_rx} elements")
+    if rx.ndim != 1 or len(rx) != g.n_rx:
+        raise LengthMismatch(f"{rx.shape} rx samples for {g.n_rx} elements")
     weights, modes, norm = _demux_weights(g)
-    samples = rx.samples.copy()  # the caller may still write into rx.samples
-    per_mode = samples @ weights
+    per_mode = rx @ weights
     estimates = per_mode / norm
-    for arr in (samples, per_mode, estimates):
+    for arr in (per_mode, estimates):
         arr.setflags(write=False)
-    return DemuxOutput(per_mode, estimates, modes, samples, weights)
+    return DemuxOutput(per_mode, estimates, modes)
 
 
 def crosstalk_matrix(geometry: LinkGeometry) -> np.ndarray:

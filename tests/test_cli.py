@@ -256,11 +256,25 @@ def test_gain_sweep_degenerate_point_is_a_gap(tmp_path, capsys):
 
 
 def test_gain_sweep_checks_tilt_bound_per_point(tmp_path, capsys):
-    # pi/2 + 5e-13 passes the grid check but not the geometry's tilt bound.
+    # The grid check holds the stop to the geometry's own tilt bound, so
+    # pi/2 + 5e-13 is refused as a grid, before any geometry is built.
     out = tmp_path / "gain.csv"
     assert run_cli("gain-vs-phi", "--out", str(out), "--grid", "0:1.5707963267953966:3") == 1
     err = capsys.readouterr().err
-    assert err == "error: tilt_phi: must lie in [0, pi/2] after wrapping to [0, 2*pi)\n"
+    assert err == "error: sweep: phi grid must lie within [0, pi/2]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMANDS))
+def test_huge_bessel_argument_is_an_error(tmp_path, capsys, subcommand):
+    # A vanishing wavelength puts the Bessel arguments near 6e298; the
+    # recurrence would start that far up and never finish.
+    config = tmp_path / "c.ini"
+    config.write_text("[geometry]\nwavelength_m = 1e-300\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: Bessel argument \|x\| = \S+ exceeds 10000\n", err)
     assert not out.exists()
 
 

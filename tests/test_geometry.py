@@ -21,19 +21,19 @@ TWO_PI = 2.0 * math.pi
     ],
 )
 def test_mode_index_set_bounds(n, expected):
-    assert v.ModeIndexSet.for_element_count(n).modes == expected
+    assert v.mode_index_set(reference_geometry(n_tx=n)) == expected
 
 
 def test_mode_index_set_even_counts():
     for n in range(2, 33, 2):
-        modes = v.ModeIndexSet.for_element_count(n).modes
+        modes = v.mode_index_set(reference_geometry(n_tx=n))
         assert len(modes) == n
         assert all(b - a == 1 for a, b in zip(modes, modes[1:]))
 
 
 def test_mode_index_set_from_geometry(ref_geometry):
     modes = v.mode_index_set(ref_geometry)
-    assert modes.modes == tuple(range(-4, 6))
+    assert modes == tuple(range(-4, 6))
     assert 5 in modes and -5 not in modes
     assert modes.index(-4) == 0 and modes.index(5) == 9
     with pytest.raises(ValueError):

@@ -100,6 +100,21 @@ def test_order_cap_enforced():
         v.bessel_j_quadrature(65, 1.0, 4096)
 
 
+def test_argument_cap_enforced():
+    from vortex_uca.specfun import MAX_ARGUMENT
+
+    # The bound itself is evaluated, on either sign.
+    np.testing.assert_allclose(
+        v.bessel_table(2, [-MAX_ARGUMENT, MAX_ARGUMENT]),
+        scipy_jv(np.arange(3)[:, None], [-MAX_ARGUMENT, MAX_ARGUMENT]), rtol=0, atol=1e-12,
+    )
+    for x in (np.nextafter(MAX_ARGUMENT, np.inf), -2 * MAX_ARGUMENT, 6e298):
+        with pytest.raises(v.OrderOutOfRange, match="argument"):
+            v.bessel_table(4, [1.0, x])
+        with pytest.raises(v.OrderOutOfRange, match="argument"):
+            v.bessel_j(0, x)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(v.OrderOutOfRange):
         v.bessel_j(1.5, 1.0)

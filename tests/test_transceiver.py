@@ -27,14 +27,14 @@ def single_mode_symbols(geometry, mode):
 def test_synthesize_constant_mode():
     g = v.LinkGeometry(n_tx=4, n_rx=4, radius_tx=0.1, radius_rx=0.1, center_distance=1.0)
     tx = v.synthesize_transmit(single_mode_symbols(g, 0), g)
-    np.testing.assert_allclose(tx.samples, 0.5, atol=1e-15)
+    np.testing.assert_allclose(tx, 0.5, atol=1e-15)
 
 
 def test_synthesize_single_spatial_frequency():
     g = v.LinkGeometry(n_tx=4, n_rx=4, radius_tx=0.1, radius_rx=0.1, center_distance=1.0)
     tx = v.synthesize_transmit(single_mode_symbols(g, 1), g)
     expected = 0.5 * np.exp(1j * np.pi * np.arange(4) / 2)
-    np.testing.assert_allclose(tx.samples, expected, atol=1e-15)
+    np.testing.assert_allclose(tx, expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 9, 10, 16])
@@ -45,7 +45,7 @@ def test_synthesize_preserves_power(n):
     )
     symbols = unit_symbols(g, seed=n)
     tx = v.synthesize_transmit(symbols, g)
-    assert np.sum(np.abs(tx.samples) ** 2) == pytest.approx(
+    assert np.sum(np.abs(tx) ** 2) == pytest.approx(
         np.sum(np.abs(symbols.symbols) ** 2), rel=1e-12
     )
 
@@ -56,10 +56,10 @@ def test_synthesize_matches_outer_product_formula():
     for _ in range(20):
         g = random_geometry(rng)
         symbols = unit_symbols(g, seed=int(rng.integers(1000)))
-        matrix = np.exp(1j * np.outer(g.tx_angles(), symbols.modes.modes)) / np.sqrt(g.n_tx)
+        matrix = np.exp(1j * np.outer(g.tx_angles(), symbols.modes)) / np.sqrt(g.n_tx)
         reference = matrix @ symbols.symbols
         np.testing.assert_allclose(
-            v.synthesize_transmit(symbols, g).samples, reference, rtol=1e-12, atol=1e-15
+            v.synthesize_transmit(symbols, g), reference, rtol=1e-12, atol=1e-15
         )
 
 
@@ -85,9 +85,8 @@ def test_synthesize_rejects_foreign_modes():
 def test_propagate_zero_input():
     g = reference_geometry()
     channel = v.channel_matrix(g, variant="farfield")
-    tx = v.ElementSignalVector(samples=np.zeros(10, dtype=complex), side="tx")
-    rx = v.propagate(tx, channel)
-    assert np.all(rx.samples == 0) and rx.side == "rx"
+    rx = v.propagate(np.zeros(10, dtype=complex), channel)
+    assert rx.shape == (10,) and np.all(rx == 0)
 
 
 @pytest.mark.parametrize("mode", [-4, 0, 2, 5])
@@ -97,8 +96,8 @@ def test_propagate_single_mode_matches_direct_gains(mode):
     tx = v.synthesize_transmit(single_mode_symbols(g, mode), g)
     rx = v.propagate(tx, channel)
     direct = v.mode_channel_matrix(g, method="direct")
-    col = direct.entries[:, direct.modes.index(mode)]
-    np.testing.assert_allclose(rx.samples, col, rtol=1e-12, atol=1e-15)
+    col = direct[:, v.mode_index_set(g).index(mode)]
+    np.testing.assert_allclose(rx, col, rtol=1e-12, atol=1e-15)
 
 
 def test_propagate_single_mode_with_tx_offset():
@@ -108,22 +107,34 @@ def test_propagate_single_mode_with_tx_offset():
     channel = v.channel_matrix(g, variant="farfield")
     tx = v.synthesize_transmit(single_mode_symbols(g, mode), g)
     rx = v.propagate(tx, channel)
-    col = v.mode_channel_matrix(g, method="direct").entries[:, 6]
+    col = v.mode_channel_matrix(g, method="direct")[:, 6]
     ramp = np.exp(1j * g.offset_alpha_tx * mode)
-    np.testing.assert_allclose(rx.samples, ramp * col, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rx, ramp * col, rtol=1e-12, atol=1e-15)
 
 
 def test_propagate_dimension_checks():
     g = reference_geometry()
     channel = v.channel_matrix(g, variant="farfield")
-    with pytest.raises(v.LengthMismatch):
-        v.propagate(v.ElementSignalVector(np.zeros(3, dtype=complex), "tx"), channel)
-    rx_vec = v.ElementSignalVector(np.zeros(10, dtype=complex), "rx")
-    with pytest.raises(v.LengthMismatch):
-        v.propagate(rx_vec, channel)
-    tx = v.ElementSignalVector(np.zeros(10, dtype=complex), "tx")
+    tx = np.zeros(10, dtype=complex)
+    for bad_tx in (np.zeros(3, dtype=complex), tx[:, None], tx[None, :]):
+        with pytest.raises(v.LengthMismatch):
+            v.propagate(bad_tx, channel)
+    for bad_channel in (channel[0], channel[:, :4], channel[None]):
+        with pytest.raises(v.LengthMismatch):
+            v.propagate(tx, bad_channel)
     with pytest.raises(v.LengthMismatch):
         v.propagate(tx, channel, v.NoiseModel.uniform(0.01, 4, seed=1))
+
+
+def test_propagate_mode_model_dimension_checks():
+    g = reference_geometry()
+    symbols = unit_symbols(g)
+    matrix = v.mode_channel_matrix(g)
+    for bad_matrix in (matrix[0], matrix[:, :9], matrix[None]):
+        with pytest.raises(v.LengthMismatch):
+            v.propagate_mode_model(symbols, bad_matrix)
+    with pytest.raises(v.LengthMismatch):
+        v.propagate_mode_model(symbols, matrix, v.NoiseModel.uniform(0.01, 4, seed=1))
 
 
 def test_noise_model_reproducible_streams():
@@ -160,11 +171,11 @@ def test_noise_per_element_variance_monte_carlo():
     # noise-only propagation: zero input, unit variance per element
     g = reference_geometry()
     channel = v.channel_matrix(g, variant="farfield")
-    silent = v.ElementSignalVector(samples=np.zeros(10, dtype=complex), side="tx")
+    silent = np.zeros(10, dtype=complex)
     trials = 10_000
     noise = v.NoiseModel.uniform(1.0, 10, seed=2024)
     draws = np.stack(
-        [v.propagate(silent, channel, noise, trial=t).samples for t in range(trials)]
+        [v.propagate(silent, channel, noise, trial=t) for t in range(trials)]
     )
     variances = np.mean(np.abs(draws) ** 2, axis=0)
     assert np.all(np.abs(variances - 1.0) < 0.05)
@@ -180,13 +191,15 @@ def test_demultiplex_roundtrip_coaxial():
 
 
 def test_demultiplex_terms_sum_to_modes():
+    # per_mode sums, over the elements, each sample times h / its closed gain.
     g = reference_geometry(tilt_phi=0.4)
     symbols = unit_symbols(g)
-    rx = v.propagate_mode_model(symbols, v.mode_channel_matrix(g))
+    gains = v.mode_channel_matrix(g)
+    rx = v.propagate_mode_model(symbols, gains)
     out = v.demultiplex(rx, g)
-    np.testing.assert_allclose(
-        out.per_element_terms.sum(axis=0), out.per_mode, rtol=1e-12, atol=1e-12
-    )
+    terms = rx[:, None] * v.mode_gain_factors(g).h_scalar / gains
+    np.testing.assert_allclose(terms.sum(axis=0), out.per_mode, rtol=1e-12, atol=1e-12)
+    assert out.modes == v.mode_index_set(g)
 
 
 def test_demultiplex_residual_equals_crosstalk_prediction():
@@ -207,8 +220,7 @@ def test_demultiplexed_noise_variance_matches_aggregate():
     modes = v.mode_index_set(g)
     collected = np.empty((trials, len(modes)), dtype=complex)
     for t in range(trials):
-        rx = v.ElementSignalVector(samples=noise.sample(trial=t), side="rx")
-        collected[t] = v.demultiplex(rx, g).per_mode
+        collected[t] = v.demultiplex(noise.sample(trial=t), g).per_mode
     measured = np.mean(np.abs(collected) ** 2, axis=0)
     for i, mode in enumerate(modes):
         expected = v.aggregate_noise_variance(mode, g, noise)
@@ -245,7 +257,7 @@ def test_crosstalk_matches_two_pass_formula():
             leak = v.crosstalk_matrix(g)
         except (v.ModeUnobservable, v.DegenerateGeometry):
             continue
-        gains = v.mode_channel_matrix(g, method="closed").entries
+        gains = v.mode_channel_matrix(g, method="closed")
         h = v.mode_gain_factors(g).h_scalar
         weights = h / gains
         reference = weights.T @ gains / (g.n_rx * h)
@@ -267,14 +279,25 @@ def test_crosstalk_shrinks_with_distance():
 def test_unobservable_mode_raises():
     # a vanishing transmit radius zeroes every nonzero-mode gain factor
     g = reference_geometry(radius_tx=1e-300)
-    rx = v.ElementSignalVector(samples=np.ones(10, dtype=complex), side="rx")
     with pytest.raises(v.ModeUnobservable) as excinfo:
-        v.demultiplex(rx, g)
+        v.demultiplex(np.ones(10, dtype=complex), g)
     assert excinfo.value.mode != 0
 
 
-def test_demultiplex_side_check():
+def test_demultiplex_dimension_checks():
     g = reference_geometry()
-    tx = v.ElementSignalVector(samples=np.ones(10, dtype=complex), side="tx")
-    with pytest.raises(v.LengthMismatch):
-        v.demultiplex(tx, g)
+    rx = np.ones(10, dtype=complex)
+    for bad in (rx[:9], np.ones(11, dtype=complex), rx[:, None], rx[None, :]):
+        with pytest.raises(v.LengthMismatch):
+            v.demultiplex(bad, g)
+
+
+def test_demultiplex_outputs_are_read_only_and_own_their_data():
+    g = reference_geometry()
+    symbols = unit_symbols(g)
+    rx = v.propagate_mode_model(symbols, v.mode_channel_matrix(g))
+    out = v.demultiplex(rx, g)
+    before = out.estimated_symbols.copy()
+    rx[:] = 0.0
+    np.testing.assert_array_equal(out.estimated_symbols, before)
+    assert not out.per_mode.flags.writeable and not out.estimated_symbols.flags.writeable
