@@ -90,6 +90,12 @@ class LinkGeometry:
             "tilt_phi",
             "must lie in [0, pi/2] after wrapping to [0, 2*pi)",
         )
+        longest = max(("center_distance", "radius_tx", "radius_rx"), key=lambda f: getattr(self, f))
+        _require(getattr(self, longest) < 1e150, longest,
+                 "must be < 1e150 so that the range sqrt(d^2 + r^2 + R^2) is finite")
+        amplitude = self.farfield_amplitude  # gains scale with it, SE with n_tx * its square
+        _require(0.0 < amplitude and self.n_tx * amplitude * amplitude < math.inf, "beta",
+                 f"far-field amplitude {amplitude:g} must be > 0 with n_tx times its square finite")
         if self.far_field_warning:
             warnings.warn(
                 f"center distance {self.center_distance} is below "

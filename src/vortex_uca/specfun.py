@@ -29,6 +29,14 @@ _TINY_ARG = 1e-300
 # device); the huge ratio it gives cancels in the products J_0 q_1 ... q_k.
 _TINY_DENOM = 1e-30
 
+# Widest table whose cumulative product is one np.cumprod call, which numpy
+# runs down each column; wider tables multiply row by row (equal cost here).
+_CUMPROD_WIDTH = 96
+
+# Most doubles in one block of rows of the recurrence buffer, so that memory
+# does not grow with |x|; a block has at least max_order + 1 rows.
+_BLOCK_SIZE = 1 << 17
+
 _MIN_QUADRATURE_NODES = 1024
 
 
@@ -50,11 +58,13 @@ def _finite(argument) -> np.ndarray:
 def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
     """J_0..J_max_order at every x of a 1-D array, shape (max_order+1, len(x)).
 
-    Recurses q_k = 1 / (2k/x - q_{k+1}) downward from q = 0 at a start index
-    far enough above max(max_order, x) that the seed error is negligible,
-    keeping q_1..q_max_order.  At odd k the sum S = sum_{even k>=2} J_k/J_0
-    grows in Horner form, S <- q_k q_{k+1} (1 + S), so J_0 = 1/(1 + 2S) and
-    J_k = J_0 q_1 ... q_k.  x = 0 is exact: J_0 = 1 and every other row 0.
+    Rows lo..hi of a block hold 2k/x, computed at once; the loop turns them in
+    place into q_k = 1 / (2k/x - q_{k+1}), downward from q = 0 at a start index
+    far enough above max(max_order, x) that the seed error is negligible, at
+    three array calls per step.  The block's cumulative product is J_k/J_{lo-1},
+    so S_lo = (its even rows) + J_hi/J_{lo-1} S_{hi+1} carries the sum of even
+    rows down.  Row 0 of the last block holds 1, so J_0 = 1 / (2 S_0 - 1) from
+    J_0 + 2 (J_2 + ...) = 1.  x = 0 is exact: J_0 = 1 and every other row 0.
     Negative x fold through J_l(-x) = (-1)^l J_l(x).  |x| above MAX_ARGUMENT
     raises :class:`OrderOutOfRange`.
     """
@@ -65,22 +75,27 @@ def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
     if top > MAX_ARGUMENT:
         raise OrderOutOfRange(f"Bessel argument |x| = {top:.6g} exceeds {MAX_ARGUMENT:g}")
     start = int(max(max_order, math.ceil(top))) + 20 + int(4.0 * math.sqrt(max(max_order, top)))
-    rows = np.empty((max_order + 1, len(x)))
+    n = len(x)
     two_over_x = 2.0 / x
-    q = np.zeros_like(x)
-    s = np.zeros_like(x)
-    for k in range(start, 0, -1):
-        d = k * two_over_x - q
-        if not d.all():
-            d[d == 0.0] = _TINY_DENOM
-        above, q = q, 1.0 / d
-        if k <= max_order:
-            rows[k] = q
-        if k % 2:
-            s = q * above * (1.0 + s)
-    rows[0] = 1.0
-    np.cumprod(rows, axis=0, out=rows)
-    rows *= 1.0 / (1.0 + 2.0 * s)
+    height = max(max_order + 1, _BLOCK_SIZE // (n + 1))
+    above = s = 0.0
+    for lo in range(start // height * height, -1, -height):
+        q = np.multiply.outer(np.arange(lo, min(lo + height, start + 1), dtype=float), two_over_x)
+        steps = list(q)
+        for d in reversed(steps[1:] if lo == 0 else steps):
+            np.subtract(d, above, out=d)
+            if np.count_nonzero(d) != n:
+                d[d == 0.0] = _TINY_DENOM
+            above = np.reciprocal(d, out=d)
+        if lo == 0:
+            q[0] = 1.0
+        if n <= _CUMPROD_WIDTH:
+            np.cumprod(q, axis=0, out=q)
+        else:
+            for below, row in zip(steps, steps[1:]):
+                np.multiply(below, row, out=row)
+        s = q[lo % 2 :: 2].sum(axis=0) + q[-1] * s
+    rows = q[: max_order + 1] * (1.0 / (2.0 * s - 1.0))
     rows[:, zero] = 0.0
     rows[0, zero] = 1.0
     rows[1::2, negative] *= -1.0

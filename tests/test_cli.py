@@ -458,6 +458,35 @@ def test_non_finite_geometry_is_an_error_line(tmp_path, capsys, subcommand, line
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scales",
+    [
+        "beta = 1e200\nwavelength_m = 1e200\n",
+        "beta = 1e-200\nwavelength_m = 1e-200\n",
+        "beta = 1e160\n",  # finite amplitude, but |h|^2 overflows in the SE
+    ],
+)
+def test_out_of_range_farfield_amplitude_is_an_error_line(tmp_path, capsys, scales):
+    config = tmp_path / "c.ini"
+    config.write_text(
+        "[geometry]\nn_tx = 4\nn_rx = 4\nradius_tx_m = 1\nradius_rx_m = 1\n"
+        f"distance_m = 10\n{scales}"
+    )
+    out = tmp_path / "out.csv"
+    assert run_cli("se-vs-phi", "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta: far-field amplitude") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_overflowing_distance_is_an_error_line_naming_it(tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    config.write_text("[geometry]\ndistance_m = 1e200\n")
+    assert run_cli("se-vs-phi", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: center_distance: must be < 1e150") and err.count("\n") == 1
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     assert run_cli("se-vs-phi", "--config", str(tmp_path / "nope.ini")) == 1
     assert "error:" in capsys.readouterr().err

@@ -223,6 +223,31 @@ def test_construction_rejects_invalid(field, value):
     assert excinfo.value.field == field
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(beta=1e200, wavelength=1e200),  # beta*lambda overflows to inf
+        dict(beta=1e-200, wavelength=1e-200),  # beta*lambda underflows to 0
+        dict(beta=1e160),  # finite amplitude whose square, |h|^2 / n_tx, overflows
+    ],
+)
+def test_construction_rejects_overflowing_or_vanishing_amplitude(overrides):
+    kwargs = dict(n_tx=4, n_rx=4, radius_tx=1.0, radius_rx=1.0, center_distance=10.0)
+    kwargs.update(overrides)
+    with pytest.raises(v.ValidationError, match="far-field amplitude") as excinfo:
+        v.LinkGeometry(**kwargs)
+    assert excinfo.value.field == "beta"
+
+
+@pytest.mark.parametrize("field", ["center_distance", "radius_tx", "radius_rx"])
+def test_construction_names_a_length_whose_square_would_overflow(field):
+    kwargs = dict(n_tx=4, n_rx=4, radius_tx=1.0, radius_rx=1.0, center_distance=10.0)
+    kwargs[field] = 1e200
+    with pytest.raises(v.ValidationError, match="1e150") as excinfo:
+        v.LinkGeometry(**kwargs)
+    assert excinfo.value.field == field
+
+
 def test_angle_normalization():
     g = reference_geometry(
         bearing_theta=TWO_PI + 0.3, offset_alpha_tx=-0.5, offset_alpha_rx=5 * TWO_PI

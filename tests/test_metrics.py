@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv as scipy_jv
 
 import vortex_uca as v
+from vortex_uca.channel import INVERSION_TOL
+from vortex_uca.geometry import DEGENERACY_TOL
 from conftest import reference_geometry
 
 
@@ -144,3 +147,49 @@ def test_budget_validation():
             g,
             v.LinkBudget(mode_powers=np.ones(3), noise=v.NoiseModel.uniform(0.01, 10, 1)),
         )
+
+
+def _far_field_se(g, tilt, variance):
+    """SE of the far-field model written out with scipy's jv, None at a gap.
+
+    Per rx element b_m = 2*pi*r*spread_m / (lambda*range), spread_m being the
+    element's distance from the projected tx center; per mode the aggregated
+    noise sum_m sigma^2 / |J_l(b_m)|^2; SE = sum_l log2(1 + M^2 |h|^2 p / var_l)
+    with p = 1 and |h| = sqrt(N) beta*lambda / (4*pi*range).
+    """
+    srange = math.sqrt(g.center_distance**2 + g.radius_tx**2 + g.radius_rx**2)
+    h_power = g.n_tx * (g.beta * g.wavelength / (4.0 * math.pi * srange)) ** 2
+    gap = 2.0 * math.pi * np.arange(g.n_rx) / g.n_rx + g.offset_alpha_rx - g.bearing_theta
+    inplane = g.center_distance * math.sin(tilt)
+    spread = np.hypot(g.radius_rx - inplane * np.cos(gap), inplane * np.sin(gap))
+    if np.min(spread) <= DEGENERACY_TOL:
+        return None
+    b = 2.0 * math.pi * g.radius_tx * spread / (g.wavelength * srange)
+    modes = np.array(v.mode_index_set(g))
+    j_abs = np.abs(scipy_jv(modes[:, None], b))
+    if np.min(j_abs) < INVERSION_TOL:
+        return None
+    var = np.sum(variance / j_abs**2, axis=1)
+    return float(np.sum(np.log2(1.0 + g.n_rx**2 * h_power / var)))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_se_sweep_matches_scipy_far_field_se(n):
+    # Tilts put the in-plane offset at 0..2 rx radii; rx element 1 faces the
+    # projected tx center at 1, where high modes vanish and points are gaps.
+    r, big_r, d, bearing, variance = 0.12, 0.15, 4.0, 1.1, 1e-6
+    b0 = 0.8 * (0.5 * n + 2.0)
+    g = v.LinkGeometry(
+        n_tx=n, n_rx=n, radius_tx=r, radius_rx=big_r, center_distance=d,
+        bearing_theta=bearing, offset_alpha_tx=0.4, offset_alpha_rx=bearing,
+        wavelength=2.0 * math.pi * r * big_r / (d * b0),
+    )
+    tilts = np.arcsin(np.linspace(0.0, 2.0, 41) * big_r / d)
+    points = v.se_sweep(g, "phi", tilts, uniform_budget(g, 1.0, variance))
+    expected = [_far_field_se(g, tilt, variance) for tilt in tilts]
+    gaps = [i for i, se in enumerate(expected) if se is None]
+    assert [i for i, p in enumerate(points) if p.spectrum_efficiency is None] == gaps
+    assert 0 < len(gaps) < len(tilts)
+    for point, se in zip(points, expected):
+        if se is not None:
+            assert point.spectrum_efficiency == pytest.approx(se, rel=1e-12, abs=0.0)

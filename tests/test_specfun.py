@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 from scipy.special import jv as scipy_jv
 
 import vortex_uca as v
+from vortex_uca import specfun
 
 
 def test_order_zero_at_origin():
@@ -189,3 +192,48 @@ def test_table_finite_at_bessel_zeros():
         table = v.bessel_table(4, xs)
         assert np.all(np.isfinite(table))
         np.testing.assert_allclose(table, scipy_jv(orders, xs), rtol=0, atol=1e-13)
+
+
+def test_no_floating_point_exception_raised():
+    # The zero-denominator guard must act before the division: at the zeros
+    # of J_0..J_4 (and their float neighbours) the recurrence meets exact-0
+    # denominators, tiny and subnormal arguments push 2k/x towards overflow.
+    zeros = np.concatenate([jn_zeros(n, 20) for n in range(5)])
+    xs = np.concatenate([
+        (zeros[:, None] + np.spacing(zeros)[:, None] * np.arange(-2, 3)).ravel(),
+        [0.0, 1e-300, 5e-324, -3.0, 120.0],
+    ])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for max_order in (0, 4, 64):
+            assert np.all(np.isfinite(v.bessel_table(max_order, xs)))
+        for x in xs:
+            assert np.isfinite(v.bessel_j(3, x))
+        assert np.all(np.isfinite(v.bessel_j(-5, xs)))
+
+
+@pytest.mark.parametrize("block_size", [1, 300, 5000])
+def test_blocked_recurrence_matches_scipy(monkeypatch, block_size):
+    # Small blocks force the multi-block path (at least max_order + 1 rows
+    # a block), which wide tables at large |x| take.
+    monkeypatch.setattr(specfun, "_BLOCK_SIZE", block_size)
+    xs = np.concatenate([np.linspace(-120.0, 120.0, 241), jn_zeros(0, 20), [0.0, 1e-300, 5e-324]])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for max_order in (0, 1, 4, 64):
+            table = v.bessel_table(max_order, xs)
+            np.testing.assert_allclose(
+                table, scipy_jv(np.arange(max_order + 1)[:, None], xs), rtol=0, atol=1e-13
+            )
+
+
+def test_wide_table_memory_does_not_grow_with_argument():
+    # One (start+1) x n buffer would hold 10421 x 2000 doubles here (167 MB);
+    # blocks of _BLOCK_SIZE doubles (1 MiB) keep the peak to a few MB.
+    xs = np.linspace(0.0, specfun.MAX_ARGUMENT, 2000)
+    tracemalloc.start()
+    try:
+        table = v.bessel_table(4, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    np.testing.assert_allclose(table, scipy_jv(np.arange(5)[:, None], xs), rtol=0, atol=1e-13)
