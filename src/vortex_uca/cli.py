@@ -21,14 +21,9 @@ import numpy as np
 
 from . import __version__
 from .channel import _sweep_gains, channel_matrix, mode_channel_matrix, worst_approximation_error
-from .errors import (
-    ModeUnobservable,
-    ParseError,
-    ValidationError,
-    VortexUcaError,
-)
-from .geometry import LinkGeometry, mode_index_set
-from .metrics import LinkBudget, se_sweep
+from .errors import ParseError, ValidationError, VortexUcaError
+from .geometry import TWO_PI, LinkGeometry, mode_index_set
+from .metrics import _SWEEP_FIELDS, LinkBudget, se_sweep
 from .transceiver import (
     ModeSymbolVector,
     NoiseModel,
@@ -75,7 +70,6 @@ _SWEEP_VARIABLES = ("phi", "theta", "n_elements")
 MAX_SWEEP_STEPS = 10_000
 
 HALF_PI = 0.5 * math.pi
-TWO_PI = 2.0 * math.pi
 
 _SUBCOMMANDS = {
     # name -> (help, runner, default sweep or None when it takes no grid).
@@ -132,6 +126,14 @@ class RunConfig:
     sweep: SweepSpec | None = None
     defaulted: tuple[str, ...] = field(default=(), compare=False)
 
+    def __post_init__(self):
+        for name in ("mode_power", "noise_variance"):
+            value = getattr(self, name)
+            if value < 0 or not math.isfinite(value):
+                raise ValidationError(name, "must be finite and >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError("seed", "must be an unsigned 64-bit integer")
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key-value config text into a validated RunConfig.
@@ -151,8 +153,10 @@ def parse_config(text: str) -> RunConfig:
     except configparser.ParsingError as exc:
         line = exc.errors[0][0] if exc.errors else None
         raise ParseError("malformed key-value line", line=line) from exc
-    except configparser.Error as exc:
-        raise ParseError(str(exc)) from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ParseError(f"duplicate section {exc.section!r}", line=exc.lineno) from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ParseError(f"duplicate {exc.section} key {exc.option!r}", line=exc.lineno) from exc
 
     for section in parser.sections():
         if section not in _CONFIG_KEYS:
@@ -179,22 +183,14 @@ def parse_config(text: str) -> RunConfig:
                 ) from None
         return values
 
-    geometry = LinkGeometry(**read("geometry"))
-    budget = read("budget")
-    for name in ("mode_power", "noise_variance"):
-        if budget[name] < 0 or not math.isfinite(budget[name]):
-            raise ValidationError(name, "must be finite and >= 0")
-    if not 0 <= budget["seed"] < 2**64:
-        raise ValidationError("seed", "must be an unsigned 64-bit integer")
-
+    config = RunConfig(geometry=LinkGeometry(**read("geometry")), **read("budget"))
     sweep = None
     if parser.has_section("sweep"):
         missing = [k for k in _CONFIG_KEYS["sweep"] if not parser.has_option("sweep", k)]
         if missing:
             raise ValidationError(missing[0], "sweep section requires this key")
         sweep = SweepSpec(**read("sweep"))
-
-    return RunConfig(geometry=geometry, sweep=sweep, defaulted=tuple(defaulted), **budget)
+    return dataclasses.replace(config, sweep=sweep, defaulted=tuple(defaulted))
 
 
 def render_config(config: RunConfig) -> str:
@@ -247,12 +243,14 @@ def _write_csv(path: str, subcommand: str, config: RunConfig, notes, header, col
 
 def _resolve_sweep(config: RunConfig, subcommand: str, grid_arg: str | None) -> RunConfig:
     """Fix the sweep actually used: --grid beats config, config beats defaults."""
-    defaulted = list(config.defaulted)
     default = _SUBCOMMANDS[subcommand][2]
-    variable = default[0] if default else None
+    if default is None:
+        if grid_arg is not None or config.sweep is not None:
+            source = "grid" if grid_arg is not None else "sweep"
+            raise ValidationError(source, f"subcommand {subcommand} takes no sweep grid")
+        return config
+    variable, defaulted = default[0], config.defaulted
     if grid_arg is not None:
-        if default is None:
-            raise ValidationError("grid", f"subcommand {subcommand} takes no sweep grid")
         parts = grid_arg.split(":")
         if len(parts) != 3:
             raise ValidationError("grid", "expected START:STOP:STEPS")
@@ -262,19 +260,17 @@ def _resolve_sweep(config: RunConfig, subcommand: str, grid_arg: str | None) -> 
             raise ValidationError("grid", f"cannot parse {grid_arg!r}") from None
         sweep = SweepSpec(variable=variable, start=start, stop=stop, steps=steps)
     elif config.sweep is not None:
-        if variable is not None and config.sweep.variable != variable:
+        if config.sweep.variable != variable:
             raise ValidationError(
                 "variable",
                 f"subcommand {subcommand} sweeps {variable!r}, "
                 f"config says {config.sweep.variable!r}",
             )
         sweep = config.sweep
-    elif default is not None:
-        sweep = SweepSpec(*default)
-        defaulted.append("sweep.*")
     else:
-        sweep = None
-    return dataclasses.replace(config, sweep=sweep, defaulted=tuple(defaulted))
+        sweep = SweepSpec(*default)
+        defaulted += ("sweep.*",)
+    return dataclasses.replace(config, sweep=sweep, defaulted=defaulted)
 
 
 def _angle_field(sweep: SweepSpec) -> str:
@@ -285,7 +281,7 @@ def _angle_field(sweep: SweepSpec) -> str:
     elif sweep.variable == "theta":
         if sweep.start < 0.0 or sweep.stop >= TWO_PI:
             raise ValidationError("sweep", "theta grid must lie within [0, 2*pi)")
-    return "tilt_phi" if sweep.variable == "phi" else "bearing_theta"
+    return _SWEEP_FIELDS[sweep.variable]
 
 
 def run_error_sweep(config: RunConfig, out_path: str) -> None:
@@ -366,23 +362,16 @@ def run_demux_demo(config: RunConfig, out_path: str) -> None:
         ("exact", "noisy", propagate(tx, exact, noise, trial=2)),
     ]
 
-    notes, errors = [], []
+    errors = []
     console = [(sys.stdout, f"demux demo: {len(modes)} modes, seed {config.seed}")]
     for variant, noise_tag, rx in received:
-        try:
-            out = demultiplex(rx, geometry)
-        except ModeUnobservable as exc:
-            notes.append(f"gap: {variant}/{noise_tag}: {exc}")
-            console.append((sys.stderr, f"note: {variant}/{noise_tag}: {exc}"))
-            errors.append(np.full(len(modes), math.nan))
-            continue
-        errors.append(np.abs(out.estimated_symbols - symbols.symbols))
+        errors.append(np.abs(demultiplex(rx, geometry).estimated_symbols - symbols.symbols))
         console.append((sys.stdout, f"  {variant:<9} {noise_tag:<10} "
                                     f"max |estimate - symbol| = {errors[-1].max():.6e}"))
 
     off = np.abs(crosstalk_matrix(geometry) - np.eye(len(modes)))
     console.append((sys.stdout, f"  crosstalk max off-diagonal = {off.max():.6e}"))
-    notes.append(f"crosstalk_max_offdiagonal = {float(off.max())!r}")
+    notes = [f"crosstalk_max_offdiagonal = {float(off.max())!r}"]
 
     columns = ([variant for variant, _, _ in received for _ in modes],
                [noise_tag for _, noise_tag, _ in received for _ in modes],
@@ -420,8 +409,6 @@ def main(argv=None) -> int:
                     ) from None
         config = parse_config(text)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ValidationError("seed", "must be an unsigned 64-bit integer")
             config = dataclasses.replace(config, seed=args.seed)
         config = _resolve_sweep(config, args.subcommand, args.grid)
         if args.subcommand == "gain-vs-theta" and "geometry.phi_rad" in config.defaulted:

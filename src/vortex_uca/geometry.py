@@ -200,35 +200,24 @@ def _cross_terms(m, n, g: LinkGeometry) -> tuple[np.ndarray, np.ndarray, np.ndar
     return term_rr, term_rx, term_tx
 
 
+def _distance(m, n, g: LinkGeometry, centers: float) -> np.ndarray:
+    """sqrt(R^2 + r^2 + centers^2 - 2*(cross terms)) for the element pairs (m, n),
+    ``centers`` being the distance between the two circles' centers: in 3-D,
+    or in the rx plane once the tx circle is projected onto it."""
+    term_rr, term_rx, term_tx = _cross_terms(m, n, g)
+    sq = (g.radius_rx**2 + g.radius_tx**2 + centers**2
+          - 2.0 * term_rr - 2.0 * term_rx + 2.0 * term_tx)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def projected_distance(m, n, geometry: LinkGeometry) -> np.ndarray:
     """In-plane distance between rx element m and the projection of tx element n."""
-    g = geometry
-    term_rr, term_rx, term_tx = _cross_terms(m, n, g)
-    inplane = g.center_distance * math.sin(g.tilt_phi)
-    sq = (
-        g.radius_rx**2
-        + g.radius_tx**2
-        + inplane**2
-        - 2.0 * term_rr
-        - 2.0 * term_rx
-        + 2.0 * term_tx
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+    return _distance(m, n, geometry, geometry.center_distance * math.sin(geometry.tilt_phi))
 
 
 def exact_distance(m, n, geometry: LinkGeometry) -> np.ndarray:
     """Euclidean distance between tx element n and rx element m."""
-    g = geometry
-    term_rr, term_rx, term_tx = _cross_terms(m, n, g)
-    sq = (
-        g.radius_rx**2
-        + g.radius_tx**2
-        + g.center_distance**2
-        - 2.0 * term_rr
-        - 2.0 * term_rx
-        + 2.0 * term_tx
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+    return _distance(m, n, geometry, geometry.center_distance)
 
 
 def approx_distance(m, n, geometry: LinkGeometry) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 from .channel import _check_invertible, mode_gain_factors
 from .errors import DegenerateGeometry, LengthMismatch, ModeUnobservable
 from .geometry import LinkGeometry, mode_index_set
-from .transceiver import NoiseModel
+from .transceiver import NoiseModel, _frozen_vector
 
 _SWEEP_FIELDS = {
     "phi": "tilt_phi",
@@ -28,13 +28,7 @@ class LinkBudget:
     noise: NoiseModel
 
     def __post_init__(self):
-        p = np.array(self.mode_powers, dtype=float)  # copy: frozen independently of the caller
-        if p.ndim != 1:
-            raise LengthMismatch("mode_powers must form a 1-D vector")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("mode powers must be finite and >= 0")
-        p.setflags(write=False)
-        object.__setattr__(self, "mode_powers", p)
+        object.__setattr__(self, "mode_powers", _frozen_vector(self.mode_powers, "mode_powers"))
 
     @classmethod
     def uniform(

@@ -34,6 +34,17 @@ class ModeSymbolVector:
             )
 
 
+def _frozen_vector(values, name: str) -> np.ndarray:
+    """A read-only 1-D float copy of ``values``, checked finite and >= 0."""
+    v = np.array(values, dtype=float)
+    if v.ndim != 1:
+        raise LengthMismatch(f"{name} must form a 1-D vector")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite and >= 0")
+    v.setflags(write=False)
+    return v
+
+
 def _uint32_words(value: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative integer, [0] for zero.
 
@@ -61,12 +72,7 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        v = np.array(self.variances, dtype=float)  # copy: frozen independently of the caller
-        if v.ndim != 1:
-            raise LengthMismatch("variances must form a 1-D vector")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ValueError("variances must be finite and >= 0")
-        v.setflags(write=False)
+        v = _frozen_vector(self.variances, "variances")
         object.__setattr__(self, "variances", v)
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")

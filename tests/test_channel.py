@@ -283,6 +283,8 @@ def test_channel_matrix_variants():
             assert abs(exact[m - 1, n - 1]) == pytest.approx(expected, rel=1e-13)
     with pytest.raises(ValueError):
         v.channel_matrix(g, variant="bogus")
+    with pytest.raises(ValueError):
+        v.mode_channel_matrix(g, method="bogus")
 
 
 def test_mode_channel_matrix_matches_scalar_ops():

@@ -79,11 +79,22 @@ def test_config_rejects_default_section(text):
     assert excinfo.value.field == "DEFAULT"
 
 
-def test_config_rejects_bad_numbers_and_seed():
+def test_config_rejects_bad_numbers_and_seed(tmp_path, capsys):
     with pytest.raises(v.ValidationError):
         parse_config("[geometry]\nradius_tx_m = abc\n")
-    with pytest.raises(v.ValidationError):
-        parse_config("[budget]\nseed = -2\n")
+    for text, field in [
+        ("[budget]\nseed = -2\n", "seed"),
+        ("[budget]\nnoise_variance = -1\n", "noise_variance"),
+        ("[budget]\nmode_power = inf\n", "mode_power"),
+    ]:
+        with pytest.raises(v.ValidationError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.field == field
+    out = tmp_path / "se.csv"
+    for seed in ("-1", str(2**64)):
+        assert run_cli("se-vs-phi", "--out", str(out), "--seed", seed) == 1
+        assert capsys.readouterr().err == "error: seed: must be an unsigned 64-bit integer\n"
+    assert not out.exists()
 
 
 def test_config_parse_error_carries_line():
@@ -119,9 +130,16 @@ def test_sweep_section_requires_all_keys():
 
 def test_sweep_steps_bound():
     assert SweepSpec("phi", 0.0, 1.0, MAX_SWEEP_STEPS).steps == MAX_SWEEP_STEPS
-    with pytest.raises(v.ValidationError) as excinfo:
-        SweepSpec("phi", 0.0, 1.0, MAX_SWEEP_STEPS + 1)
-    assert excinfo.value.field == "steps"
+    for args, field in [
+        (("phi", 0.0, 1.0, MAX_SWEEP_STEPS + 1), "steps"),
+        (("phi", 0.0, 1.0, 0), "steps"),
+        (("radius", 0.0, 1.0, 3), "variable"),
+        (("phi", 0.0, math.inf, 3), "start"),
+        (("theta", math.nan, 1.0, 3), "start"),
+    ]:
+        with pytest.raises(v.ValidationError) as excinfo:
+            SweepSpec(*args)
+        assert excinfo.value.field == field
 
 
 def test_error_sweep_single_size(tmp_path, capsys):
@@ -351,6 +369,12 @@ def test_se_sweep_output(tmp_path):
     assert len(rows) == 13
     assert float(rows[0][1]) == pytest.approx(13.443259289434376, rel=1e-9)
     assert any("budget" in c for c in comments)
+    # The same grid from a config [sweep] section writes the same file.
+    config = tmp_path / "c.ini"
+    config.write_text("[sweep]\nvariable = phi\nstart = 0\nstop = 1.2\nsteps = 13\n")
+    from_config = tmp_path / "se_config.csv"
+    assert run_cli("se-vs-phi", "--out", str(from_config), "--config", str(config)) == 0
+    assert from_config.read_bytes() == out.read_bytes()
 
 
 def test_csv_columns_format_each_type_once():
@@ -496,6 +520,9 @@ def test_bad_grid_argument(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli("se-vs-phi", "--out", str(out), "--grid", "1:2") == 1
     assert "START:STOP:STEPS" in capsys.readouterr().err
+    assert run_cli("se-vs-phi", "--out", str(out), "--grid", "a:b:c") == 1
+    assert capsys.readouterr().err == "error: grid: cannot parse 'a:b:c'\n"
+    assert not out.exists()
 
 
 def test_oversized_grid_is_an_error_line(tmp_path, capsys):
@@ -511,6 +538,42 @@ def test_demux_demo_rejects_grid(tmp_path, capsys):
     assert run_cli("demux-demo", "--out", str(out), "--grid", "1:2:3") == 1
     err = capsys.readouterr().err
     assert err == "error: grid: subcommand demux-demo takes no sweep grid\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, sweep, line",
+    [
+        ("demux-demo", "phi", "error: sweep: subcommand demux-demo takes no sweep grid"),
+        ("se-vs-phi", "theta",
+         "error: variable: subcommand se-vs-phi sweeps 'phi', config says 'theta'"),
+    ],
+    ids=["demux-demo", "se-vs-phi"],
+)
+def test_config_sweep_must_fit_the_subcommand(tmp_path, capsys, subcommand, sweep, line):
+    config = tmp_path / "c.ini"
+    config.write_text(f"[sweep]\nvariable = {sweep}\nstart = 0\nstop = 1\nsteps = 3\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[geometry]\nn_tx = 4\n[geometry]\nn_rx = 4\n",
+         "error: line 3: duplicate section 'geometry'"),
+        ("[budget]\nseed = 2\n\nSEED = 3\n", "error: line 4: duplicate budget key 'seed'"),
+    ],
+    ids=["section", "key"],
+)
+def test_duplicate_section_or_key_is_an_error_line(tmp_path, capsys, text, line):
+    config = tmp_path / "c.ini"
+    config.write_text(text)
+    out = tmp_path / "x.csv"
+    assert run_cli("se-vs-phi", "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
 
 

@@ -28,6 +28,9 @@ def test_aggregate_zero_noise():
     g = reference_geometry()
     noise = v.NoiseModel.uniform(0.0, 10, seed=1)
     assert v.aggregate_noise_variance(0, g, noise) == 0.0
+    # Noiseless modes add infinite SE when they carry power, none when silent.
+    assert v.spectrum_efficiency(g, uniform_budget(g, variance=0.0)) == math.inf
+    assert v.spectrum_efficiency(g, uniform_budget(g, power=0.0, variance=0.0)) == 0.0
 
 
 def test_aggregate_regression_anchor():
@@ -143,10 +146,14 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         v.LinkBudget(mode_powers=np.array([-1.0] * 10), noise=v.NoiseModel.uniform(0.01, 10, 1))
     with pytest.raises(v.LengthMismatch):
+        v.LinkBudget(mode_powers=np.ones((2, 5)), noise=v.NoiseModel.uniform(0.01, 10, 1))
+    with pytest.raises(v.LengthMismatch):
         v.spectrum_efficiency(
             g,
             v.LinkBudget(mode_powers=np.ones(3), noise=v.NoiseModel.uniform(0.01, 10, 1)),
         )
+    with pytest.raises(v.LengthMismatch):
+        v.spectrum_efficiency(g, uniform_budget(dataclasses.replace(g, n_rx=7)))
 
 
 def _far_field_se(g, tilt, variance):

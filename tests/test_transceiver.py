@@ -135,6 +135,8 @@ def test_propagate_mode_model_dimension_checks():
             v.propagate_mode_model(symbols, bad_matrix)
     with pytest.raises(v.LengthMismatch):
         v.propagate_mode_model(symbols, matrix, v.NoiseModel.uniform(0.01, 4, seed=1))
+    with pytest.raises(v.LengthMismatch):
+        v.ModeSymbolVector(symbols.symbols[:9], symbols.modes)
 
 
 def test_noise_model_reproducible_streams():
@@ -161,6 +163,8 @@ def test_noise_sample_is_the_scaled_seeded_draw():
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         v.NoiseModel.uniform(-1.0, 4, seed=1)
+    with pytest.raises(v.LengthMismatch):
+        v.NoiseModel(np.ones((2, 2)), seed=1)
     with pytest.raises(ValueError):
         v.NoiseModel.uniform(1.0, 4, seed=-1)
     with pytest.raises(ValueError):
