@@ -143,9 +143,8 @@ def parse_config(text: str) -> RunConfig:
     """
     # No header can name the empty section, so [DEFAULT] reads as an
     # ordinary (and unknown) section instead of lending its keys to others.
-    parser = configparser.ConfigParser(
-        interpolation=None, delimiters=("=",), comment_prefixes=("#", ";"), default_section=""
-    )
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="",
+                                       comment_prefixes=("#", ";"), inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError as exc:

@@ -9,6 +9,7 @@ elements; the phase ramps of distinct modes cancel in that sum.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ class ModeSymbolVector:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "symbols", np.asarray(self.symbols))
         if self.symbols.ndim != 1 or len(self.symbols) != len(self.modes):
             raise LengthMismatch(
                 f"{len(self.symbols)} symbols for {len(self.modes)} modes"
@@ -46,16 +48,67 @@ def _frozen_vector(values, name: str) -> np.ndarray:
 
 
 def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer, [0] for zero.
-
-    The split ``SeedSequence`` applies to each integer of a seed list.
-    """
+    """Little-endian 32-bit words of a non-negative integer, [0] for zero:
+    the split ``SeedSequence`` applies to each integer of a seed list."""
     words = [value & 0xFFFFFFFF]
     value >>= 32
     while value:
         words.append(value & 0xFFFFFFFF)
         value >>= 32
     return words
+
+
+# SeedSequence's hash constants (initial value, multiplier) and PCG64's LCG multiplier, with
+# which one array pass seeds a block of trials as Generator(PCG64(SeedSequence(words))) does.
+_BLOCK = 256  # divides 2**32, so a block's trials share all but the low word
+_POOL_HASH, _OUTPUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
+_generators = threading.local()  # one reused Generator per thread
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """Column of the n + 1 hash constants init * mult**k mod 2**32."""
+    return np.cumprod(np.array([init] + [mult] * n, dtype=np.uint32), dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 rows, with constants k and k + 1 for row k."""
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> 16
+    return out
+
+
+def _block_seeds(seed_words: list[int], block: int) -> list[list[int]]:
+    """PCG64 seed words (state high, low, increment high, low) of trials block*_BLOCK + j,
+    j < _BLOCK, from seed_words + the trial's words: a mixed 4-word pool, hashed to 8 words."""
+    words = seed_words + _uint32_words(block * _BLOCK)
+    entropy = np.repeat(np.array(words + [0] * (4 - len(words)), np.uint32)[:, None], _BLOCK, 1)
+    entropy[len(seed_words)] += np.arange(_BLOCK, dtype=np.uint32)
+    consts = _hash_constants(*_POOL_HASH, 4 * len(entropy))
+    pool = _hash(entropy[:4], consts[:5])
+    k = 4
+    for src in range(len(entropy)):  # pool words mix into the others, then extra words into all
+        dst = [d for d in range(4) if d != src]
+        hashed = _hash((pool if src < 4 else entropy)[src], consts[k:k + len(dst) + 1])
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+        k += len(dst)
+    out = _hash(np.concatenate((pool, pool)), _hash_constants(*_OUTPUT_HASH, 8))
+    return (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).tolist()
+
+
+def _seeded_generator(seeds: list[list[int]], j: int):
+    """This thread's Generator in the state PCG64 seeds from seed table entry j."""
+    inc = ((seeds[2][j] << 64 | seeds[3][j]) << 1 | 1) & _MASK128
+    state = ((inc + (seeds[0][j] << 64 | seeds[1][j])) * _PCG_MULT + inc) & _MASK128
+    rng = getattr(_generators, "rng", None)
+    if rng is None:
+        rng = _generators.rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +119,9 @@ class NoiseModel:
     always reproduces the same draw, and distinct trials are independent
     streams, so Monte Carlo loops parallelize without coordination.  The
     stream is the one ``numpy.random.default_rng([seed, trial])`` gives.
+    A block of 256 trials is seeded that way on its first draw and from one
+    table on later draws, through one reused generator per thread.  Threads
+    that race on the table only redo work: both seedings give the same draw.
     """
 
     variances: np.ndarray
@@ -83,6 +139,7 @@ class NoiseModel:
         scale.setflags(write=False)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_seed_words", _uint32_words(self.seed))
+        object.__setattr__(self, "_seed_table", (-1, None))  # (block, seeds), replaced whole
 
     @classmethod
     def uniform(cls, variance: float, n_rx: int, seed: int) -> "NoiseModel":
@@ -91,13 +148,19 @@ class NoiseModel:
     def sample(self, trial: int = 0) -> np.ndarray:
         if trial < 0:
             raise ValueError("trial must be >= 0")
-        # The entropy default_rng([seed, trial]) assembles, without its
-        # per-call conversion of the seed.  numpy.random is looked up here,
-        # not imported with the package: loading it costs start-up time and
-        # about 6 MB of memory that runs without noise never need.
-        words = self._seed_words + _uint32_words(int(trial))
+        # numpy.random is looked up per call: importing it with the package costs 6 MB.
         random = np.random
-        rng = random.Generator(random.PCG64(random.SeedSequence(np.array(words, dtype=np.uint32))))
+        block, j = divmod(int(trial), _BLOCK)
+        table_block, seeds = self._seed_table
+        if table_block != block:
+            object.__setattr__(self, "_seed_table", (block, None))
+            words = np.array(self._seed_words + _uint32_words(int(trial)), dtype=np.uint32)
+            rng = random.Generator(random.PCG64(random.SeedSequence(words)))
+        else:
+            if seeds is None:
+                seeds = _block_seeds(self._seed_words, block)
+                object.__setattr__(self, "_seed_table", (block, seeds))
+            rng = _seeded_generator(seeds, j)
         n = len(self._scale)
         pairs = rng.standard_normal((2, n))
         draw = np.empty(n, dtype=complex)
@@ -132,20 +195,28 @@ def _phase_ramps(n_tx: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     return modes, l, table
 
 
+@lru_cache(maxsize=256)
+def _tx_rotation(n_tx: int, alpha_tx: float) -> np.ndarray:
+    """exp(j*alpha_tx*l) per mode l: the tx offset's rotation of each mode."""
+    rotation = np.exp(1j * alpha_tx * _phase_ramps(n_tx)[1])
+    rotation.setflags(write=False)
+    return rotation
+
+
 def synthesize_transmit(symbols: ModeSymbolVector, geometry: LinkGeometry) -> np.ndarray:
     """Feed samples of the n_tx elements for a symbol vector (an isometry:
     power is preserved).
 
-    The tx offset rotates mode l by exp(j*alpha_tx*l); the rest is the
-    cached ramp table of the element count.
+    The tx offset rotates mode l by exp(j*alpha_tx*l); both that rotation
+    and the ramp table of the element count are cached.
     """
     g = geometry
-    modes, l, table = _phase_ramps(g.n_tx)
+    modes, _, table = _phase_ramps(g.n_tx)
     if symbols.modes != modes:
         raise LengthMismatch(
             f"symbol modes {symbols.modes} do not match geometry modes {modes}"
         )
-    return table @ (symbols.symbols * np.exp(1j * g.offset_alpha_tx * l))
+    return table @ (symbols.symbols * _tx_rotation(g.n_tx, g.offset_alpha_tx))
 
 
 def _received(matrix: np.ndarray, vector: np.ndarray, noise: NoiseModel | None,

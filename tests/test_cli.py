@@ -50,6 +50,19 @@ def test_empty_config_gives_reference_defaults():
     assert "geometry.n_tx" in config.defaulted
 
 
+def test_readme_config_block_parses_to_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config files\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    assert " ; " in block  # the block carries inline comments
+    config = parse_config(block)
+    defaults = parse_config("")
+    assert config.geometry == defaults.geometry
+    assert (config.mode_power, config.noise_variance, config.seed) == (
+        defaults.mode_power, defaults.noise_variance, defaults.seed)
+    assert config.sweep == SweepSpec(*_SUBCOMMANDS["se-vs-phi"][2])
+    assert config.defaulted == ()
+
+
 def test_config_overrides_and_tilt():
     config = parse_config("[geometry]\nphi_rad = 1.0471975512\nn_tx = 12\n")
     assert config.geometry.tilt_phi == pytest.approx(math.pi / 3, abs=1e-9)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,6 +63,18 @@ def test_synthesize_matches_outer_product_formula():
         np.testing.assert_allclose(
             v.synthesize_transmit(symbols, g), reference, rtol=1e-12, atol=1e-15
         )
+
+
+def test_synthesize_is_the_ramp_table_times_the_rotated_symbols():
+    # The cached tx rotation is the expression it replaced, bit for bit.
+    rng = np.random.default_rng(45)
+    for _ in range(10):
+        g = random_geometry(rng)
+        symbols = unit_symbols(g, seed=int(rng.integers(1000)))
+        _, l, table = _phase_ramps(g.n_tx)
+        expected = table @ (symbols.symbols * np.exp(1j * g.offset_alpha_tx * l))
+        for _ in range(2):  # cache miss, then hit
+            assert v.synthesize_transmit(symbols, g).tobytes() == expected.tobytes()
 
 
 def test_ramp_cache_holds_one_entry_per_element_count():
@@ -139,6 +153,16 @@ def test_propagate_mode_model_dimension_checks():
         v.ModeSymbolVector(symbols.symbols[:9], symbols.modes)
 
 
+def test_mode_symbol_vector_accepts_a_list():
+    symbols = v.ModeSymbolVector([1, 2j], (0, 1))
+    assert isinstance(symbols.symbols, np.ndarray)
+    np.testing.assert_array_equal(symbols.symbols, [1, 2j])
+    with pytest.raises(v.LengthMismatch):
+        v.ModeSymbolVector([1, 2, 3], (0, 1))
+    with pytest.raises(v.LengthMismatch):
+        v.ModeSymbolVector([[1, 2]], (0, 1))
+
+
 def test_noise_model_reproducible_streams():
     noise = v.NoiseModel.uniform(0.5, 8, seed=99)
     a = noise.sample(trial=3)
@@ -149,15 +173,67 @@ def test_noise_model_reproducible_streams():
     assert not np.array_equal(other_seed.sample(trial=3), a)
 
 
+# Trials in draw order.  The first draw of a 256-trial block is seeded
+# directly and later ones from the block's seed table: 255 is served at the
+# top of block 0, 256 from the table that 257 started, then trials on both
+# sides of 2**32 and past 2**64, and block 0 again after later blocks.
+NOISE_TRIALS = (
+    0, 1, 17, 255, 257, 256, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3,
+    2**40 + 2, 2**64 - 1, 2**64 - 2, 2**64, 2**64 + 1, 2**80 + 7, 2**80 + 6, 5, 3,
+)
+
+
 def test_noise_sample_is_the_scaled_seeded_draw():
     # Seeds and trials on both sides of each 32-bit entropy-word boundary.
     variances = np.array([0.5, 2.0, 0.0, 1e-4, 3.0])
     for seed in (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1):
         noise = v.NoiseModel(variances=variances, seed=seed)
-        for trial in (0, 1, 17, 2**32 - 1, 2**32, 2**40 + 3):
+        for trial in NOISE_TRIALS:
             a, b = np.random.default_rng([seed, trial]).standard_normal((2, len(variances)))
             expected = np.sqrt(variances / 2) * (a + 1j * b)
             assert noise.sample(trial).tobytes() == expected.tobytes()
+
+
+def test_noise_seed_table_holds_one_block():
+    noise = v.NoiseModel.uniform(1.0, 3, seed=8)
+    noise.sample(300)  # first draw of block 1: seeded directly, no table yet
+    assert noise._seed_table == (1, None)
+    noise.sample(301)
+    block, seeds = noise._seed_table
+    assert block == 1 and [len(words) for words in seeds] == [256] * 4
+    noise.sample(2)  # another block replaces the table whole
+    assert noise._seed_table == (0, None)
+
+
+def test_noise_draws_from_two_threads_match_the_seeded_draw():
+    # Both threads replace the model's seed table as they cross blocks; a
+    # short switch interval makes them interleave within single draws.
+    noise = v.NoiseModel.uniform(0.3, 6, seed=2**40 + 9)
+    trials = [(300 + 7 * t) % 700 for t in range(600)]  # blocks 0-2, revisited
+    results: dict[int, list] = {0: [], 1: []}
+    barrier = threading.Barrier(2)
+
+    def draw(worker):
+        barrier.wait(timeout=60)
+        for trial in trials[worker::2]:
+            results[worker].append((trial, noise.sample(trial)))
+
+    threads = [threading.Thread(target=draw, args=(w,), daemon=True) for w in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    drawn = results[0] + results[1]
+    assert len(drawn) == len(trials)
+    for trial, sample in drawn:
+        a, b = np.random.default_rng([noise.seed, trial]).standard_normal((2, 6))
+        assert sample.tobytes() == (np.sqrt(0.3 / 2) * (a + 1j * b)).tobytes()
 
 
 def test_noise_model_validation():
