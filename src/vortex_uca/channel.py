@@ -9,12 +9,12 @@ Two gain models coexist:
   closed form built from a Bessel factor per (element, mode) pair.
 
 :meth:`ModeGainFactors.c_matrix` tabulates that factor for every element
-and mode from one Bessel table; the closed-form gains, the demultiplexing
-weights and the aggregated noise all read it.  The direct finite sum over
-transmit elements (:func:`mode_gain_direct`; its matrix is one far-field
-matrix product), :meth:`ModeGainFactors.c_factor`, the aligned and the
-coplanar special cases stay scalar, as the references the closed form is
-measured against.
+and mode from one Bessel table for the closed-form gains and demux weights;
+the gain sweeps and the aggregated noise read only its magnitude |J_|l|(b)|.
+The direct finite sum over transmit elements (:func:`mode_gain_direct`; its
+matrix is one far-field matrix product), :meth:`ModeGainFactors.c_factor`,
+the aligned and the coplanar special cases stay scalar, as the references
+the closed form is measured against.
 """
 
 from __future__ import annotations
@@ -73,12 +73,15 @@ class ModeGainFactors:
         negative orders fold through J_{-l} = (-1)^l J_l.
         """
         l = np.array(tuple(modes))
-        j = bessel_table(np.max(np.abs(l)), self.b_factor).T[:, np.abs(l)]
-        j[:, (l < 0) & (l % 2 == 1)] *= -1.0
-        # One complex copy, scaled in place: sweeps build this per point.
-        c = j.astype(complex)
-        c *= self.c_prefactor[:, None]
-        return c
+        sign = np.where((l < 0) & (l % 2 == 1), -1.0, 1.0)
+        return self.c_prefactor[:, None] * (_bessel_columns(l, self.b_factor) * sign)
+
+
+def _bessel_columns(modes, b) -> np.ndarray:
+    """J_|l|(b) for each b (leading axes) and each mode l of ``modes`` (last
+    axis), from one Bessel table."""
+    orders = np.abs(np.asarray(modes))
+    return np.moveaxis(bessel_table(int(orders.max()), b)[orders], 0, -1)
 
 
 def _bessel_argument(g: LinkGeometry, spread) -> np.ndarray:
@@ -174,9 +177,9 @@ def _sweep_gains(geometry: LinkGeometry, fieldname: str, grid, rows) -> tuple[np
     angles[fieldname] = np.asarray(grid, dtype=float)[:, None]
     spread = _offset_triangle(None, g, angles["tilt_phi"], angles["bearing_theta"])[3]
     degenerate = np.any(spread <= DEGENERACY_TOL, axis=1)
-    l = np.abs(mode_index_set(g))
-    j = bessel_table(int(l.max()), _bessel_argument(g, spread[:, np.asarray(rows) - 1]))
-    gains = math.sqrt(g.n_tx) * g.farfield_amplitude * np.abs(np.moveaxis(j[l], 0, -1))
+    b = _bessel_argument(g, spread[:, np.asarray(rows) - 1])
+    j = _bessel_columns(mode_index_set(g), b)
+    gains = math.sqrt(g.n_tx) * g.farfield_amplitude * np.abs(j)
     gains[degenerate] = np.nan
     return gains, degenerate
 

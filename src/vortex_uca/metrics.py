@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_invertible, mode_gain_factors
+from .channel import _bessel_columns, _check_invertible, mode_gain_factors
 from .errors import DegenerateGeometry, LengthMismatch, ModeUnobservable
 from .geometry import LinkGeometry, mode_index_set
 from .transceiver import NoiseModel, _frozen_vector
@@ -60,7 +60,8 @@ def _aggregate_variances(geometry: LinkGeometry, noise: NoiseModel, modes) -> np
         raise LengthMismatch(
             f"{len(noise.variances)} noise variances for {g.n_rx} rx elements"
         )
-    c_abs = np.abs(mode_gain_factors(g).c_matrix(modes))
+    # The prefactor of c is unimodular, so |c| is |J_|l|(b)|, read off the table.
+    c_abs = np.abs(_bessel_columns(modes, mode_gain_factors(g).b_factor))
     _check_invertible(c_abs, modes)
     return np.sum(noise.variances[:, None] / c_abs**2, axis=0)
 
@@ -74,7 +75,9 @@ def spectrum_efficiency(geometry: LinkGeometry, budget: LinkBudget) -> float:
     """Sum over modes of log2(1 + per-mode SNR), in bits/s/Hz.
 
     The per-mode SNR is M^2 |h|^2 p_mode over the aggregated noise variance
-    of that mode's decomposition output.
+    of that mode's decomposition output.  Each term is taken from the sum of
+    the SNR factors' logs, so no product overflows or underflows: a mode
+    without power adds 0, a powered mode without noise adds inf.
     """
     g = geometry
     modes = mode_index_set(g)
@@ -82,20 +85,12 @@ def spectrum_efficiency(geometry: LinkGeometry, budget: LinkBudget) -> float:
         raise LengthMismatch(
             f"{len(budget.mode_powers)} mode powers for {len(modes)} modes"
         )
-    h_power = abs(mode_gain_factors(g).h_scalar) ** 2
     variances = _aggregate_variances(g, budget.noise, modes)
-    total = 0.0
-    for power, variance in zip(budget.mode_powers.tolist(), variances.tolist()):
-        if variance == 0.0:
-            total += math.inf if power > 0 else 0.0
-            continue
-        snr = g.n_rx**2 * h_power * power / variance
-        if snr < math.inf:
-            total += math.log2(1.0 + snr)
-        else:  # past the float range 1 + snr is snr, whose log is a sum of finite logs
-            total += (2.0 * math.log2(g.n_rx) + math.log2(h_power) + math.log2(power)
-                      - math.log2(variance))
-    return total
+    powered = budget.mode_powers > 0
+    log_gain = 2.0 * (math.log2(g.n_rx) + math.log2(abs(mode_gain_factors(g).h_scalar)))
+    with np.errstate(divide="ignore"):  # log2(0) = -inf is a noiseless mode's term
+        log_snr = log_gain + np.log2(budget.mode_powers[powered]) - np.log2(variances[powered])
+    return float(np.sum(np.logaddexp2(0.0, log_snr)))
 
 
 def se_sweep(

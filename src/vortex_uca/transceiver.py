@@ -146,8 +146,8 @@ class NoiseModel:
         return cls(variances=np.full(n_rx, float(variance)), seed=seed)
 
     def sample(self, trial: int = 0) -> np.ndarray:
-        if trial < 0:
-            raise ValueError("trial must be >= 0")
+        if not isinstance(trial, (int, np.integer)) or trial < 0:
+            raise ValueError(f"trial must be an integer >= 0, got {trial!r}")
         # numpy.random is looked up per call: importing it with the package costs 6 MB.
         random = np.random
         block, j = divmod(int(trial), _BLOCK)

@@ -98,6 +98,35 @@ def test_spectrum_efficiency_vanishes_without_signal_or_snr():
     assert v.spectrum_efficiency(g, uniform_budget(g)) > 0.0
 
 
+def test_spectrum_efficiency_edge_values():
+    # Pinned at the default link; each follows from IEEE arithmetic on the
+    # per-mode log terms.  test_aggregate_zero_noise and
+    # test_spectrum_efficiency_vanishes_without_signal_or_snr pin silent and
+    # noiseless modes.
+    g = reference_geometry()
+
+    def se(geometry, power, variance):
+        return v.spectrum_efficiency(geometry, uniform_budget(geometry, power, variance))
+
+    assert se(g, 1.0, 5e-324) == pytest.approx(10608.318541510464, rel=1e-15)
+    assert se(g, 1e300, 1e-300) == pytest.approx(19799.50057128241, rel=1e-15)
+    faint = reference_geometry(beta=1e-200)  # |h|^2 underflows to 0 here
+    assert abs(v.mode_gain_factors(faint).h_scalar) ** 2 == 0.0
+    assert se(faint, 1.0, 0.0) == math.inf
+    assert se(faint, 1.0, 0.01) == 0.0
+    # Silent modes drop out of a mixed budget, with or without noise.
+    powers = np.tile([0.0, 1.0], 5)
+    noiseless = v.LinkBudget(powers, v.NoiseModel.uniform(0.0, 10, seed=1))
+    assert v.spectrum_efficiency(g, noiseless) == math.inf
+    noise = v.NoiseModel.uniform(0.01, 10, seed=1)
+    h_power = abs(v.mode_gain_factors(g).h_scalar) ** 2
+    expected = sum(
+        math.log2(1.0 + 100 * h_power / v.aggregate_noise_variance(mode, g, noise))
+        for mode, power in zip(v.mode_index_set(g), powers) if power
+    )
+    assert v.spectrum_efficiency(g, v.LinkBudget(powers, noise)) == pytest.approx(expected, rel=1e-12)
+
+
 def test_se_sweep_single_point_matches_direct_call():
     g = reference_geometry()
     budget = uniform_budget(g)

@@ -10,7 +10,7 @@ from scipy.special import jn_zeros
 from scipy.special import jv as scipy_jv
 
 import vortex_uca as v
-from conftest import reference_geometry
+from conftest import random_geometry, reference_geometry
 from vortex_uca.cli import MAX_SWEEP_STEPS, RunConfig, SweepSpec, parse_config, render_config
 from vortex_uca.specfun import MAX_ORDER
 
@@ -110,6 +110,23 @@ def _se(geometry):
         return v.spectrum_efficiency(geometry, v.LinkBudget.uniform(geometry, 1.0, 0.01, 1))
     except (v.ModeUnobservable, v.DegenerateGeometry):
         return None
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3), st.floats(1e-6, 1.0))
+def test_se_is_the_sum_of_per_mode_log_terms(seed, power, variance):
+    g = random_geometry(np.random.default_rng(seed))
+    budget = v.LinkBudget.uniform(g, power, variance, 1)
+    try:
+        se = v.spectrum_efficiency(g, budget)
+    except (v.ModeUnobservable, v.DegenerateGeometry):
+        return
+    # log1p keeps the per-mode terms exact where the SNR is far below 1.
+    snr_scale = g.n_rx**2 * abs(v.mode_gain_factors(g).h_scalar) ** 2 * power
+    expected = sum(
+        math.log1p(snr_scale / v.aggregate_noise_variance(mode, g, budget.noise)) / math.log(2.0)
+        for mode in v.mode_index_set(g)
+    )
+    assert math.isclose(se, expected, rel_tol=1e-12)
 
 
 @given(geometries(), st.floats(-TWO_PI, TWO_PI))

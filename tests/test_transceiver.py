@@ -205,6 +205,16 @@ def test_noise_seed_table_holds_one_block():
     assert noise._seed_table == (0, None)
 
 
+def test_noise_trial_must_be_a_non_negative_integer():
+    noise = v.NoiseModel.uniform(1.0, 3, seed=8)
+    for trial in (2.7, 2.0, "2", None, -1, np.int64(-1)):
+        with pytest.raises(ValueError, match="trial"):
+            noise.sample(trial)
+    assert noise.sample(np.uint8(2)).tobytes() == noise.sample(2).tobytes()
+    with pytest.raises(ValueError, match="trial"):
+        v.propagate(np.ones(3), np.eye(3), noise, trial=1.5)
+
+
 def test_noise_draws_from_two_threads_match_the_seeded_draw():
     # Both threads replace the model's seed table as they cross blocks; a
     # short switch interval makes them interleave within single draws.
