@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channel import _sweep_gains, channel_matrix, mode_channel_matrix, worst_approximation_error
-from .errors import ParseError, ValidationError, VortexUcaError
+from .errors import ParseError, ValidationError, VortexUcaError, _is_integer
 from .geometry import TWO_PI, LinkGeometry, mode_index_set
 from .metrics import _SWEEP_FIELDS, LinkBudget, se_sweep
 from .transceiver import (
@@ -104,7 +104,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in _SWEEP_VARIABLES:
             raise ValidationError("variable", f"must be one of {_SWEEP_VARIABLES}")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not _is_integer(self.steps) or self.steps < 1:
             raise ValidationError("steps", "must be an integer >= 1")
         if self.steps > MAX_SWEEP_STEPS:
             raise ValidationError("steps", f"must be <= {MAX_SWEEP_STEPS}, got {self.steps}")
@@ -131,7 +131,7 @@ class RunConfig:
             value = getattr(self, name)
             if value < 0 or not math.isfinite(value):
                 raise ValidationError(name, "must be finite and >= 0")
-        if not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed", "must be an unsigned 64-bit integer")
 
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer rule shared across the package."""
+
+import numpy as np
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one, though Python counts it as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class VortexUcaError(Exception):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, ValidationError
+from .errors import DegenerateGeometry, ValidationError, _is_integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,7 +74,7 @@ class LinkGeometry:
     def __post_init__(self):
         for name in ("n_tx", "n_rx"):
             value = getattr(self, name)
-            _require(isinstance(value, (int, np.integer)), name, "must be an integer")
+            _require(_is_integer(value), name, "must be an integer")
             object.__setattr__(self, name, int(value))
             _require(getattr(self, name) >= 1, name, "must be >= 1")
         for name in ("radius_tx", "radius_rx", "center_distance", "wavelength", "beta"):

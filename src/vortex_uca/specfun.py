@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import OrderOutOfRange
+from .errors import OrderOutOfRange, _is_integer
 
 MAX_ORDER = 64
 
@@ -29,8 +29,8 @@ _TINY_ARG = 1e-300
 # device); the huge ratio it gives cancels in the products J_0 q_1 ... q_k.
 _TINY_DENOM = 1e-30
 
-# Widest table whose cumulative product is one np.cumprod call, which numpy
-# runs down each column; wider tables multiply row by row (equal cost here).
+# Widest table whose cumulative product is one np.cumprod call, which numpy runs down each
+# column; wider ones multiply row by row (whole _rows calls on 139 rows cross near 110).
 _CUMPROD_WIDTH = 96
 
 # Most doubles in one block of rows of the recurrence buffer, so that memory
@@ -41,7 +41,7 @@ _MIN_QUADRATURE_NODES = 1024
 
 
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)):
+    if not _is_integer(order):
         raise OrderOutOfRange(f"order must be an integer, got {order!r}")
     if abs(int(order)) > MAX_ORDER:
         raise OrderOutOfRange(f"|order| = {abs(int(order))} exceeds {MAX_ORDER}")
@@ -139,7 +139,7 @@ def bessel_j_quadrature(order: int, argument, nodes: int = 100_000):
     independent oracle for :func:`bessel_j`.
     """
     order = _check_order(order)
-    if not isinstance(nodes, (int, np.integer)) or nodes < _MIN_QUADRATURE_NODES:
+    if not _is_integer(nodes) or nodes < _MIN_QUADRATURE_NODES:
         raise ValueError(f"nodes must be an integer >= {_MIN_QUADRATURE_NODES}")
     x = _finite(argument)
     scalar = x.ndim == 0

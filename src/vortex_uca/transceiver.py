@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import _check_invertible, _closed_gains, mode_gain_factors
-from .errors import LengthMismatch
+from .errors import LengthMismatch, _is_integer
 from .geometry import TWO_PI, LinkGeometry, _mode_numbers, mode_index_set
 
 
@@ -61,6 +61,7 @@ def _uint32_words(value: int) -> list[int]:
 # SeedSequence's hash constants (initial value, multiplier) and PCG64's LCG multiplier, with
 # which one array pass seeds a block of trials as Generator(PCG64(SeedSequence(words))) does.
 _BLOCK = 256  # divides 2**32, so a block's trials share all but the low word
+_TABLES = 2  # seed tables kept: a loop over consecutive trials draws from one block at a time
 _POOL_HASH, _OUTPUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT, _MASK128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
@@ -80,9 +81,11 @@ def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_seeds(seed_words: list[int], block: int) -> list[list[int]]:
-    """PCG64 seed words (state high, low, increment high, low) of trials block*_BLOCK + j,
-    j < _BLOCK, from seed_words + the trial's words: a mixed 4-word pool, hashed to 8 words."""
+@lru_cache(maxsize=_TABLES)
+def _block_seeds(seed: int, block: int) -> list[list[int]]:
+    """Shared, read-only rows of PCG64 seed words (state high, low, increment high, low), row
+    j for trial block*_BLOCK + j: SeedSequence's pool of the words of [seed, trial], hashed."""
+    seed_words = _uint32_words(seed)
     words = seed_words + _uint32_words(block * _BLOCK)
     entropy = np.repeat(np.array(words + [0] * (4 - len(words)), np.uint32)[:, None], _BLOCK, 1)
     entropy[len(seed_words)] += np.arange(_BLOCK, dtype=np.uint32)
@@ -96,13 +99,13 @@ def _block_seeds(seed_words: list[int], block: int) -> list[list[int]]:
         pool[dst] = mixed ^ mixed >> 16
         k += len(dst)
     out = _hash(np.concatenate((pool, pool)), _hash_constants(*_OUTPUT_HASH, 8))
-    return (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).tolist()
+    return (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).T.tolist()
 
 
-def _seeded_generator(seeds: list[list[int]], j: int):
-    """This thread's Generator in the state PCG64 seeds from seed table entry j."""
-    inc = ((seeds[2][j] << 64 | seeds[3][j]) << 1 | 1) & _MASK128
-    state = ((inc + (seeds[0][j] << 64 | seeds[1][j])) * _PCG_MULT + inc) & _MASK128
+def _seeded_generator(words: list[int]):
+    """This thread's Generator in the state PCG64 seeds from four seed words."""
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = ((inc + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _MASK128
     rng = getattr(_generators, "rng", None)
     if rng is None:
         rng = _generators.rng = np.random.Generator(np.random.PCG64(0))
@@ -119,9 +122,9 @@ class NoiseModel:
     always reproduces the same draw, and distinct trials are independent
     streams, so Monte Carlo loops parallelize without coordination.  The
     stream is the one ``numpy.random.default_rng([seed, trial])`` gives.
-    A block of 256 trials is seeded that way on its first draw and from one
-    table on later draws, through one reused generator per thread.  Threads
-    that race on the table only redo work: both seedings give the same draw.
+    Every draw sets one reused generator per thread, seeded for trial j of a
+    256-trial block by numpy's ``SeedSequence`` when j = 0 and from the block's
+    cached seed table otherwise.  The model never changes after construction.
     """
 
     variances: np.ndarray
@@ -130,39 +133,28 @@ class NoiseModel:
     def __post_init__(self):
         v = _frozen_vector(self.variances, "variances")
         object.__setattr__(self, "variances", v)
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
+        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
-        # Per-element draw scale and the seed's entropy words, fixed here
-        # rather than per sample.
-        scale = np.sqrt(v / 2.0)
+        scale = np.sqrt(v / 2.0)  # per-element draw scale, fixed here rather than per sample
         scale.setflags(write=False)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_seed_words", _uint32_words(self.seed))
-        object.__setattr__(self, "_seed_table", (-1, None))  # (block, seeds), replaced whole
 
     @classmethod
     def uniform(cls, variance: float, n_rx: int, seed: int) -> "NoiseModel":
         return cls(variances=np.full(n_rx, float(variance)), seed=seed)
 
     def sample(self, trial: int = 0) -> np.ndarray:
-        if not isinstance(trial, (int, np.integer)) or trial < 0:
+        if not _is_integer(trial) or trial < 0:
             raise ValueError(f"trial must be an integer >= 0, got {trial!r}")
-        # numpy.random is looked up per call: importing it with the package costs 6 MB.
-        random = np.random
         block, j = divmod(int(trial), _BLOCK)
-        table_block, seeds = self._seed_table
-        if table_block != block:
-            object.__setattr__(self, "_seed_table", (block, None))
-            words = np.array(self._seed_words + _uint32_words(int(trial)), dtype=np.uint32)
-            rng = random.Generator(random.PCG64(random.SeedSequence(words)))
-        else:
-            if seeds is None:
-                seeds = _block_seeds(self._seed_words, block)
-                object.__setattr__(self, "_seed_table", (block, seeds))
-            rng = _seeded_generator(seeds, j)
+        if j:
+            words = _block_seeds(self.seed, block)[j]
+        else:  # numpy.random is looked up here: importing it with the package costs 6 MB
+            entropy = np.array(_uint32_words(self.seed) + _uint32_words(int(trial)), np.uint32)
+            words = np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
         n = len(self._scale)
-        pairs = rng.standard_normal((2, n))
+        pairs = _seeded_generator(words).standard_normal((2, n))
         draw = np.empty(n, dtype=complex)
         draw.real = pairs[0]
         draw.imag = pairs[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -153,6 +154,24 @@ def test_sweep_steps_bound():
         with pytest.raises(v.ValidationError) as excinfo:
             SweepSpec(*args)
         assert excinfo.value.field == field
+
+
+def test_sweep_steps_are_an_integer_but_not_a_bool():
+    grid = SweepSpec("phi", 0.0, 1.0, np.int64(5)).grid()
+    assert grid.tolist() == SweepSpec("phi", 0.0, 1.0, 5).grid().tolist()
+    for steps in (True, np.bool_(True), 5.0):
+        with pytest.raises(v.ValidationError) as excinfo:
+            SweepSpec("phi", 0.0, 1.0, steps)
+        assert excinfo.value.field == "steps"
+
+
+def test_run_config_seed_is_an_integer_but_not_a_bool():
+    config = parse_config("")
+    assert dataclasses.replace(config, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    for seed in (1.5, True, np.bool_(True), 2**64, -1):
+        with pytest.raises(v.ValidationError) as excinfo:
+            dataclasses.replace(config, seed=seed)
+        assert excinfo.value.field == "seed"
 
 
 def test_error_sweep_single_size(tmp_path, capsys):

@@ -223,6 +223,17 @@ def test_construction_rejects_invalid(field, value):
     assert excinfo.value.field == field
 
 
+@pytest.mark.parametrize("field", ["n_tx", "n_rx"])
+def test_element_counts_are_integers_but_not_bools(field):
+    kwargs = dict(n_tx=10, n_rx=10, radius_tx=0.1, radius_rx=0.1, center_distance=1.0)
+    for value in (True, np.bool_(True), 4.0):
+        with pytest.raises(v.ValidationError) as excinfo:
+            v.LinkGeometry(**{**kwargs, field: value})
+        assert excinfo.value.field == field
+    g = v.LinkGeometry(**{**kwargs, field: np.int32(4)})
+    assert getattr(g, field) == 4 and type(getattr(g, field)) is int
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

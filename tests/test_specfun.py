@@ -127,8 +127,18 @@ def test_invalid_inputs_rejected():
         v.bessel_j(1, float("inf"))
     with pytest.raises(ValueError):
         v.bessel_j_quadrature(1, 1.0, 512)
-    with pytest.raises(ValueError):
-        v.bessel_j_quadrature(1, 1.0, 4096.0)
+    for nodes in (4096.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="nodes"):
+            v.bessel_j_quadrature(1, 1.0, nodes)
+
+
+def test_order_is_an_integer_but_not_a_bool():
+    for order in (True, np.bool_(True)):
+        with pytest.raises(v.OrderOutOfRange, match="integer"):
+            v.bessel_j(order, 1.0)
+        with pytest.raises(v.OrderOutOfRange, match="integer"):
+            v.bessel_table(order, 1.0)
+    assert v.bessel_j(np.int8(1), 1.0) == v.bessel_j(1, 1.0)
 
 
 def test_table_at_zero():

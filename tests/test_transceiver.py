@@ -8,7 +8,7 @@ import pytest
 
 import vortex_uca as v
 from conftest import random_geometry, reference_geometry
-from vortex_uca.transceiver import _phase_ramps
+from vortex_uca.transceiver import _block_seeds, _phase_ramps
 
 
 def unit_symbols(geometry, seed=11):
@@ -173,10 +173,11 @@ def test_noise_model_reproducible_streams():
     assert not np.array_equal(other_seed.sample(trial=3), a)
 
 
-# Trials in draw order.  The first draw of a 256-trial block is seeded
-# directly and later ones from the block's seed table: 255 is served at the
-# top of block 0, 256 from the table that 257 started, then trials on both
-# sides of 2**32 and past 2**64, and block 0 again after later blocks.
+# Trials in draw order.  Trial j of a 256-trial block is seeded by numpy's
+# SeedSequence when j = 0 and from the block's seed table otherwise: 255 is
+# served at the top of block 0, 257 builds block 1's table after 256 did
+# not, then trials on both sides of 2**32 and past 2**64, and block 0 again
+# after later blocks.
 NOISE_TRIALS = (
     0, 1, 17, 255, 257, 256, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3,
     2**40 + 2, 2**64 - 1, 2**64 - 2, 2**64, 2**64 + 1, 2**80 + 7, 2**80 + 6, 5, 3,
@@ -194,15 +195,60 @@ def test_noise_sample_is_the_scaled_seeded_draw():
             assert noise.sample(trial).tobytes() == expected.tobytes()
 
 
-def test_noise_seed_table_holds_one_block():
+def _seed_table_misses() -> int:
+    return _block_seeds.cache_info().misses
+
+
+def test_noise_first_draw_of_a_block_builds_no_seed_table():
+    # A block's first trial is the first draw of a new link, so it stays cheap.
     noise = v.NoiseModel.uniform(1.0, 3, seed=8)
-    noise.sample(300)  # first draw of block 1: seeded directly, no table yet
-    assert noise._seed_table == (1, None)
-    noise.sample(301)
-    block, seeds = noise._seed_table
-    assert block == 1 and [len(words) for words in seeds] == [256] * 4
-    noise.sample(2)  # another block replaces the table whole
-    assert noise._seed_table == (0, None)
+    before = _seed_table_misses()
+    for block in (0, 1, 7, 2**24, 2**60):
+        noise.sample(256 * block)
+    assert _seed_table_misses() == before
+
+
+def test_noise_seed_table_is_built_once_per_block_and_shared():
+    first, second = (v.NoiseModel.uniform(1.0, 3, seed=8) for _ in range(2))
+    before = _seed_table_misses()
+    first.sample(256 * 3 + 1)
+    assert _seed_table_misses() == before + 1
+    first.sample(256 * 3 + 255)
+    second.sample(256 * 3 + 1)
+    second.sample(256 * 3 + 2)
+    assert _seed_table_misses() == before + 1
+
+
+def test_noise_seed_tables_stay_within_their_bound():
+    noise = v.NoiseModel.uniform(1.0, 3, seed=8)
+    for block in range(40):
+        noise.sample(256 * block + 1)
+        info = _block_seeds.cache_info()
+        assert info.currsize <= info.maxsize <= 4
+
+
+def test_noise_draws_leave_the_model_unchanged():
+    noise = v.NoiseModel.uniform(1.0, 3, seed=8)
+    before = dict(vars(noise))
+    for trial in (0, 1, 300, 301, 256, 2, 2**40):
+        noise.sample(trial)
+    assert vars(noise).keys() == before.keys()
+    assert all(vars(noise)[name] is value for name, value in before.items())
+    assert set(before) == {"variances", "seed", "_scale"}
+
+
+def test_noise_trial_is_an_integer_but_not_a_bool():
+    noise = v.NoiseModel.uniform(1.0, 3, seed=8)
+    for trial in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="trial"):
+            noise.sample(trial)
+
+
+def test_noise_seed_is_an_integer_but_not_a_bool():
+    for seed in (True, False, np.bool_(True), 8.0):
+        with pytest.raises(ValueError, match="seed"):
+            v.NoiseModel.uniform(1.0, 3, seed=seed)
+    assert v.NoiseModel.uniform(1.0, 3, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_noise_trial_must_be_a_non_negative_integer():
@@ -215,10 +261,8 @@ def test_noise_trial_must_be_a_non_negative_integer():
         v.propagate(np.ones(3), np.eye(3), noise, trial=1.5)
 
 
-def test_noise_draws_from_two_threads_match_the_seeded_draw():
-    # Both threads replace the model's seed table as they cross blocks; a
-    # short switch interval makes them interleave within single draws.
-    noise = v.NoiseModel.uniform(0.3, 6, seed=2**40 + 9)
+def _assert_two_threads_draw_as_seeded(models):
+    """models[w] draws every other trial in thread w; each draw must be the seeded one."""
     trials = [(300 + 7 * t) % 700 for t in range(600)]  # blocks 0-2, revisited
     results: dict[int, list] = {0: [], 1: []}
     barrier = threading.Barrier(2)
@@ -226,7 +270,7 @@ def test_noise_draws_from_two_threads_match_the_seeded_draw():
     def draw(worker):
         barrier.wait(timeout=60)
         for trial in trials[worker::2]:
-            results[worker].append((trial, noise.sample(trial)))
+            results[worker].append((trial, models[worker].sample(trial)))
 
     threads = [threading.Thread(target=draw, args=(w,), daemon=True) for w in (0, 1)]
     interval = sys.getswitchinterval()
@@ -242,8 +286,21 @@ def test_noise_draws_from_two_threads_match_the_seeded_draw():
     drawn = results[0] + results[1]
     assert len(drawn) == len(trials)
     for trial, sample in drawn:
-        a, b = np.random.default_rng([noise.seed, trial]).standard_normal((2, 6))
+        a, b = np.random.default_rng([models[0].seed, trial]).standard_normal((2, 6))
         assert sample.tobytes() == (np.sqrt(0.3 / 2) * (a + 1j * b)).tobytes()
+
+
+# Both threads build and evict the shared seed tables as they cross blocks; a
+# short switch interval makes them interleave within single draws.
+def test_noise_draws_from_two_threads_match_the_seeded_draw():
+    noise = v.NoiseModel.uniform(0.3, 6, seed=2**40 + 9)
+    _assert_two_threads_draw_as_seeded((noise, noise))
+
+
+def test_two_models_with_one_seed_draw_from_two_threads_as_seeded():
+    _assert_two_threads_draw_as_seeded(
+        [v.NoiseModel.uniform(0.3, 6, seed=2**40 + 9) for _ in range(2)]
+    )
 
 
 def test_noise_model_validation():
