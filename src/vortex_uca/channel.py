@@ -81,7 +81,7 @@ def _bessel_columns(modes, b) -> np.ndarray:
     """J_|l|(b) for each b (leading axes) and each mode l of ``modes`` (last
     axis), from one Bessel table."""
     orders = np.abs(np.asarray(modes))
-    return np.moveaxis(bessel_table(int(orders.max()), b)[orders], 0, -1)
+    return bessel_table(int(orders.max()), b)[orders].transpose(*range(1, np.ndim(b) + 1), 0)
 
 
 def _bessel_argument(g: LinkGeometry, spread) -> np.ndarray:
@@ -90,7 +90,7 @@ def _bessel_argument(g: LinkGeometry, spread) -> np.ndarray:
     return TWO_PI * g.radius_tx * spread / (g.wavelength * g.farfield_range)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def mode_gain_factors(geometry: LinkGeometry) -> ModeGainFactors:
     """All far-field gain factors of a geometry, cached per geometry."""
     g = geometry

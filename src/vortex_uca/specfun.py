@@ -50,7 +50,7 @@ def _check_order(order: int) -> int:
 
 def _finite(argument) -> np.ndarray:
     x = np.asarray(argument, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("argument must be finite")
     return x
 
@@ -61,17 +61,21 @@ def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
     Rows lo..hi of a block hold 2k/x, computed at once; the loop turns them in
     place into q_k = 1 / (2k/x - q_{k+1}), downward from q = 0 at a start index
     far enough above max(max_order, x) that the seed error is negligible, at
-    three array calls per step.  The block's cumulative product is J_k/J_{lo-1},
-    so S_lo = (its even rows) + J_hi/J_{lo-1} S_{hi+1} carries the sum of even
-    rows down.  Row 0 of the last block holds 1, so J_0 = 1 / (2 S_0 - 1) from
-    J_0 + 2 (J_2 + ...) = 1.  x = 0 is exact: J_0 = 1 and every other row 0.
-    Negative x fold through J_l(-x) = (-1)^l J_l(x).  |x| above MAX_ARGUMENT
-    raises :class:`OrderOutOfRange`.
+    two array calls per step.  An exact-0 denominator leaves a +-inf row; only a
+    block holding one runs again from the same q_{hi+1}, with each step's zeros
+    set to _TINY_DENOM, so every table equals that of a guard at every step.
+    The block's cumulative product is J_k/J_{lo-1}, so S_lo = (its even rows)
+    + J_hi/J_{lo-1} S_{hi+1} carries the sum of even rows down.  Row 0 of the
+    last block holds 1, so J_0 = 1 / (2 S_0 - 1) from J_0 + 2 (J_2 + ...) = 1.
+    x = 0 is exact: J_0 = 1 and every other row 0.  Negative x fold through
+    J_l(-x) = (-1)^l J_l(x); these masks run only if some x is below _TINY_ARG.
+    |x| above MAX_ARGUMENT raises :class:`OrderOutOfRange`.
     """
-    negative = x < 0.0
-    zero = x == 0.0
-    x = np.maximum(np.abs(x), _TINY_ARG)
-    top = float(np.max(x, initial=_TINY_ARG))
+    folded = x.min(initial=_TINY_ARG) < _TINY_ARG
+    if folded:
+        negative, zero = x < 0.0, x == 0.0
+        x = np.maximum(np.abs(x), _TINY_ARG)
+    top = float(x.max(initial=_TINY_ARG))
     if top > MAX_ARGUMENT:
         raise OrderOutOfRange(f"Bessel argument |x| = {top:.6g} exceeds {MAX_ARGUMENT:g}")
     start = int(max(max_order, math.ceil(top))) + 20 + int(4.0 * math.sqrt(max(max_order, top)))
@@ -80,13 +84,18 @@ def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
     height = max(max_order + 1, _BLOCK_SIZE // (n + 1))
     above = s = 0.0
     for lo in range(start // height * height, -1, -height):
-        q = np.multiply.outer(np.arange(lo, min(lo + height, start + 1), dtype=float), two_over_x)
-        steps = list(q)
-        for d in reversed(steps[1:] if lo == 0 else steps):
-            np.subtract(d, above, out=d)
-            if np.count_nonzero(d) != n:
-                d[d == 0.0] = _TINY_DENOM
-            above = np.reciprocal(d, out=d)
+        ks, seed = np.arange(lo, min(lo + height, start + 1), dtype=float), above
+        for guard in (False, True):
+            q = np.multiply.outer(ks, two_over_x)
+            steps, above = list(q), seed
+            with np.errstate(divide="ignore"):
+                for d in reversed(steps[1:] if lo == 0 else steps):
+                    np.subtract(d, above, out=d)
+                    if guard:
+                        d[d == 0.0] = _TINY_DENOM
+                    above = np.reciprocal(d, out=d)
+            if guard or not np.isinf(q).any():
+                break
         if lo == 0:
             q[0] = 1.0
         if n <= _CUMPROD_WIDTH:
@@ -96,9 +105,10 @@ def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
                 np.multiply(below, row, out=row)
         s = q[lo % 2 :: 2].sum(axis=0) + q[-1] * s
     rows = q[: max_order + 1] * (1.0 / (2.0 * s - 1.0))
-    rows[:, zero] = 0.0
-    rows[0, zero] = 1.0
-    rows[1::2, negative] *= -1.0
+    if folded:
+        rows[:, zero] = 0.0
+        rows[0, zero] = 1.0
+        rows[1::2, negative] *= -1.0
     return rows
 
 

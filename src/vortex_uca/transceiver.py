@@ -187,7 +187,7 @@ def _phase_ramps(n_tx: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     return modes, l, table
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def _tx_rotation(n_tx: int, alpha_tx: float) -> np.ndarray:
     """exp(j*alpha_tx*l) per mode l: the tx offset's rotation of each mode."""
     rotation = np.exp(1j * alpha_tx * _phase_ramps(n_tx)[1])
@@ -247,7 +247,7 @@ def propagate_mode_model(
     return _received(mode_matrix, symbols.symbols, noise, trial)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def _demux_weights(geometry: LinkGeometry) -> tuple[np.ndarray, tuple[int, ...], complex]:
     """(weights h / gain per (element, mode), modes, estimate normalizer M*h).
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -205,9 +206,9 @@ def test_table_finite_at_bessel_zeros():
 
 
 def test_no_floating_point_exception_raised():
-    # The zero-denominator guard must act before the division: at the zeros
-    # of J_0..J_4 (and their float neighbours) the recurrence meets exact-0
-    # denominators, tiny and subnormal arguments push 2k/x towards overflow.
+    # No caller's errstate may see the recurrence's division by an exact-0
+    # denominator, which it meets at the zeros of J_0..J_4 (and their float
+    # neighbours); tiny and subnormal arguments push 2k/x towards overflow.
     zeros = np.concatenate([jn_zeros(n, 20) for n in range(5)])
     xs = np.concatenate([
         (zeros[:, None] + np.spacing(zeros)[:, None] * np.arange(-2, 3)).ravel(),
@@ -247,3 +248,84 @@ def test_wide_table_memory_does_not_grow_with_argument():
         tracemalloc.stop()
     assert peak < 16e6, peak
     np.testing.assert_allclose(table, scipy_jv(np.arange(5)[:, None], xs), rtol=0, atol=1e-13)
+
+
+def _guarded_rows(max_order, x, guard=True):
+    # The oracle of specfun._rows: the same recurrence, with every step
+    # testing its denominators for an exact 0 and replacing it with
+    # _TINY_DENOM before it divides.  Without that guard, a 0 denominator
+    # gives an infinite ratio, then inf * 0 = NaN in the products.
+    negative = x < 0.0
+    zero = x == 0.0
+    x = np.maximum(np.abs(x), specfun._TINY_ARG)
+    top = float(np.max(x, initial=specfun._TINY_ARG))
+    start = int(max(max_order, math.ceil(top))) + 20 + int(4.0 * math.sqrt(max(max_order, top)))
+    n = len(x)
+    two_over_x = 2.0 / x
+    height = max(max_order + 1, specfun._BLOCK_SIZE // (n + 1))
+    above = s = 0.0
+    for lo in range(start // height * height, -1, -height):
+        q = np.multiply.outer(np.arange(lo, min(lo + height, start + 1), dtype=float), two_over_x)
+        steps = list(q)
+        for d in reversed(steps[1:] if lo == 0 else steps):
+            np.subtract(d, above, out=d)
+            if guard and np.count_nonzero(d) != n:
+                d[d == 0.0] = specfun._TINY_DENOM
+            above = np.reciprocal(d, out=d)
+        if lo == 0:
+            q[0] = 1.0
+        if n <= specfun._CUMPROD_WIDTH:
+            np.cumprod(q, axis=0, out=q)
+        else:
+            for below, row in zip(steps, steps[1:]):
+                np.multiply(below, row, out=row)
+        s = q[lo % 2 :: 2].sum(axis=0) + q[-1] * s
+    rows = q[: max_order + 1] * (1.0 / (2.0 * s - 1.0))
+    rows[:, zero] = 0.0
+    rows[0, zero] = 1.0
+    rows[1::2, negative] *= -1.0
+    return rows
+
+
+# Found by scanning floats around Bessel zeros: at each, the recurrence of
+# bessel_table(order, [x]) divides by a denominator of exactly 0.
+EXACT_ZERO_DENOMINATORS = ((2, 2.404825557695773), (8, 11.086370019245084))
+
+
+@pytest.mark.parametrize("max_order, x", EXACT_ZERO_DENOMINATORS)
+def test_exact_zero_denominator_values(max_order, x):
+    xs = np.array([x])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.isnan(_guarded_rows(max_order, xs, guard=False)).any()
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        table = v.bessel_table(max_order, xs)
+    assert np.all(np.isfinite(table))
+    assert table.tobytes() == _guarded_rows(max_order, xs).tobytes()
+    np.testing.assert_allclose(
+        table, scipy_jv(np.arange(max_order + 1)[:, None], xs), rtol=0, atol=1e-13
+    )
+
+
+EDGE_ARGUMENTS = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-300, -1e-300, -1.0, -25.0]
+                          + [x for _, x in EXACT_ZERO_DENOMINATORS])
+
+
+def test_tables_bit_identical_to_the_guarded_recurrence(monkeypatch):
+    # Seeded draws: orders 0-64, widths 0-400 (both sides of _CUMPROD_WIDTH),
+    # |x| log-uniform from 1e-5 up to a per-draw top, half of them with random
+    # signs and edge values.  A quarter each run with blocks of at most 1 and
+    # 300 doubles, which forces many blocks.  The recurrence's length grows
+    # with the top, so only 1 draw in 20 has a top above 100 (up to 1e4).
+    rng = np.random.default_rng(7)
+    default_block = specfun._BLOCK_SIZE
+    for draw in range(2000):
+        monkeypatch.setattr(specfun, "_BLOCK_SIZE", (default_block, default_block, 1, 300)[draw % 4])
+        max_order, width = int(rng.integers(0, 65)), int(rng.integers(0, 401))
+        top = rng.uniform(-5.0, 4.0 if draw % 40 < 2 else 2.0)
+        x = 10.0 ** rng.uniform(-5.0, top, width)
+        if draw % 2:
+            x *= rng.choice([-1.0, 1.0], width)
+            picks = rng.integers(0, width, min(width, 4))
+            x[picks] = rng.choice(EDGE_ARGUMENTS, len(picks))
+        expected = _guarded_rows(max_order, x)
+        assert v.bessel_table(max_order, x).tobytes() == expected.tobytes(), (draw, max_order, width)

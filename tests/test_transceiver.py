@@ -8,7 +8,7 @@ import pytest
 
 import vortex_uca as v
 from conftest import random_geometry, reference_geometry
-from vortex_uca.transceiver import _block_seeds, _phase_ramps
+from vortex_uca.transceiver import _block_seeds, _demux_weights, _phase_ramps, _tx_rotation
 
 
 def unit_symbols(geometry, seed=11):
@@ -335,6 +335,27 @@ def test_demultiplex_roundtrip_coaxial():
     rx = v.propagate_mode_model(symbols, v.mode_channel_matrix(g))
     out = v.demultiplex(rx, g)
     assert np.max(np.abs(out.estimated_symbols - symbols.symbols)) < 1e-10
+
+
+def test_geometry_caches_hold_a_small_working_set():
+    # A Monte Carlo loop reuses one link for many trials, so the per-geometry
+    # caches need hold only the links in use; more entries only hold memory.
+    caches = (v.mode_gain_factors, _demux_weights, _tx_rotation)
+    for cache in caches:
+        cache.cache_clear()
+    for k in range(40):  # distinct links, each with its own tx offset
+        g = reference_geometry(offset_alpha_tx=0.01 * k, offset_alpha_rx=0.02 * k)
+        symbols = unit_symbols(g)
+        rx = v.propagate_mode_model(symbols, v.mode_channel_matrix(g))
+        assert np.max(np.abs(v.demultiplex(rx, g).estimated_symbols - symbols.symbols)) < 1e-10
+        v.synthesize_transmit(symbols, g)
+    for cache in caches:
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize == 16
+    hits = [cache.cache_info().hits for cache in caches]
+    v.mode_gain_factors(g)
+    v.demultiplex(rx, g)
+    v.synthesize_transmit(symbols, g)
+    assert [cache.cache_info().hits for cache in caches] == [h + 1 for h in hits]
 
 
 def test_demultiplex_terms_sum_to_modes():
