@@ -96,13 +96,20 @@ class LinkGeometry:
         amplitude = self.farfield_amplitude  # gains scale with it, SE with n_tx * its square
         _require(0.0 < amplitude and self.n_tx * amplitude * amplitude < math.inf, "beta",
                  f"far-field amplitude {amplitude:g} must be > 0 with n_tx times its square finite")
+        srange = self.farfield_range
+        scale = self.wavelength * srange  # every Bessel argument's denominator
+        widest = self.radius_rx + self.center_distance  # bounds every rx element's spread
+        _require(math.isfinite(TWO_PI * srange / self.wavelength) and scale > 0.0
+                 and math.isfinite(TWO_PI * self.radius_tx * widest / scale), "wavelength",
+                 "must keep the carrier phase 2*pi*range/wavelength and the Bessel argument bound "
+                 "2*pi*r_tx*(r_rx + d)/(wavelength*range) finite")
         if self.far_field_warning:
             warnings.warn(
                 f"center distance {self.center_distance} is below "
                 f"{FAR_FIELD_MARGIN} x max array radius; far-field gain "
                 f"formulas lose accuracy",
                 FarFieldWarning,
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the dataclass __init__
             )
 
     @property
@@ -141,7 +148,10 @@ def _azimuths(count: int, offset: float, index, side: str) -> np.ndarray:
     if index is None:
         k = np.arange(count)
     else:
-        k = np.asarray(index) - 1
+        k = np.asarray(index)
+        if k.dtype.kind not in "iu":
+            raise ValueError(f"{side} element index {index!r} is not an integer")
+        k = k - 1
         if np.any((k < 0) | (k >= count)):
             raise ValueError(f"{side} element index {index} outside 1..{count}")
     return TWO_PI * k / count + offset

@@ -29,10 +29,6 @@ _TINY_ARG = 1e-300
 # device); the huge ratio it gives cancels in the products J_0 q_1 ... q_k.
 _TINY_DENOM = 1e-30
 
-# Widest table whose cumulative product is one np.cumprod call, which numpy runs down each
-# column; wider ones multiply row by row (whole _rows calls on 139 rows cross near 110).
-_CUMPROD_WIDTH = 96
-
 # Most doubles in one block of rows of the recurrence buffer, so that memory
 # does not grow with |x|; a block has at least max_order + 1 rows.
 _BLOCK_SIZE = 1 << 17
@@ -86,10 +82,9 @@ def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
     for lo in range(start // height * height, -1, -height):
         ks, seed = np.arange(lo, min(lo + height, start + 1), dtype=float), above
         for guard in (False, True):
-            q = np.multiply.outer(ks, two_over_x)
-            steps, above = list(q), seed
+            q, above = np.multiply.outer(ks, two_over_x), seed
             with np.errstate(divide="ignore"):
-                for d in reversed(steps[1:] if lo == 0 else steps):
+                for d in q[:0:-1] if lo == 0 else q[::-1]:
                     np.subtract(d, above, out=d)
                     if guard:
                         d[d == 0.0] = _TINY_DENOM
@@ -98,11 +93,7 @@ def _rows(max_order: int, x: np.ndarray) -> np.ndarray:
                 break
         if lo == 0:
             q[0] = 1.0
-        if n <= _CUMPROD_WIDTH:
-            np.cumprod(q, axis=0, out=q)
-        else:
-            for below, row in zip(steps, steps[1:]):
-                np.multiply(below, row, out=row)
+        np.cumprod(q, axis=0, out=q)
         s = q[lo % 2 :: 2].sum(axis=0) + q[-1] * s
     rows = q[: max_order + 1] * (1.0 / (2.0 * s - 1.0))
     if folded:

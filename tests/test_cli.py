@@ -543,6 +543,32 @@ def test_overflowing_distance_is_an_error_line_naming_it(tmp_path, capsys):
     assert err.startswith("error: center_distance: must be < 1e150") and err.count("\n") == 1
 
 
+# The configs of tests/test_geometry.py's OVERFLOWING_WAVELENGTHS: each ended
+# in a ValueError traceback (cmath.exp of an infinite carrier phase, or an
+# infinite Bessel argument) in at least one subcommand.
+TINY_WAVELENGTHS = [
+    "wavelength_m = 5e-324\n",
+    "wavelength_m = 1e-310\n",
+    "wavelength_m = 1e-308\n",
+    "radius_tx_m = 1e149\nradius_rx_m = 1e149\ndistance_m = 9e149\nwavelength_m = 1e-158\n",
+    "radius_tx_m = 1e-160\nradius_rx_m = 1e-160\ndistance_m = 1e-159\n"
+    "wavelength_m = 1e-300\nbeta = 1e140\n",
+]
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("lengths", TINY_WAVELENGTHS,
+                         ids=["5e-324", "1e-310", "1e-308", "huge-lengths", "tiny-lengths"])
+def test_tiny_wavelength_is_an_error_line(tmp_path, capsys, subcommand, lengths):
+    config = tmp_path / "c.ini"
+    config.write_text(f"[geometry]\n{lengths}")
+    out = tmp_path / "out.csv"
+    assert run_cli(subcommand, "--config", str(config), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: wavelength: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     assert run_cli("se-vs-phi", "--config", str(tmp_path / "nope.ini")) == 1
     assert "error:" in capsys.readouterr().err

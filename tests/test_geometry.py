@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +261,30 @@ def test_construction_names_a_length_whose_square_would_overflow(field):
     assert excinfo.value.field == field
 
 
+# Lengths whose carrier phase 2*pi*range/lambda overflows (the first four) or
+# whose lambda*range underflows to 0 (the last), as each would reach
+# mode_gain_factors; the CLI tests read the same configs.
+OVERFLOWING_WAVELENGTHS = [
+    dict(wavelength=5e-324),
+    dict(wavelength=1e-310),
+    dict(wavelength=1e-308),
+    dict(radius_tx=1e149, radius_rx=1e149, center_distance=9e149, wavelength=1e-158),
+    dict(radius_tx=1e-160, radius_rx=1e-160, center_distance=1e-159, wavelength=1e-300,
+         beta=1e140),
+]
+
+
+@pytest.mark.parametrize("overrides", OVERFLOWING_WAVELENGTHS)
+def test_construction_rejects_a_wavelength_with_a_non_finite_phase(overrides):
+    kwargs = dict(n_tx=10, n_rx=10, radius_tx=0.1, radius_rx=0.1, center_distance=1.0)
+    with pytest.raises(v.ValidationError, match="carrier phase") as excinfo:
+        v.LinkGeometry(**{**kwargs, **overrides})
+    assert excinfo.value.field == "wavelength"
+    # Just inside the bound: the factors are finite; b is then beyond the Bessel cap.
+    factors = v.mode_gain_factors(v.LinkGeometry(**{**kwargs, "wavelength": 1e-300}))
+    assert np.isfinite(factors.h_scalar) and np.all(np.isfinite(factors.b_factor))
+
+
 def test_angle_normalization():
     g = reference_geometry(
         bearing_theta=TWO_PI + 0.3, offset_alpha_tx=-0.5, offset_alpha_rx=5 * TWO_PI
@@ -282,6 +308,16 @@ def test_far_field_advisory_flag():
         )
     assert close.far_field_warning
     assert not reference_geometry().far_field_warning
+
+
+def test_far_field_warning_names_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        v.LinkGeometry(n_tx=4, n_rx=4, radius_tx=0.1, radius_rx=0.1, center_distance=0.2)
+    [warning] = caught
+    assert warning.category is v.FarFieldWarning
+    assert (warning.filename, warning.lineno) == (__file__, line)
 
 
 def test_element_index_bounds(ref_geometry):
@@ -335,3 +371,32 @@ def test_zeta_degenerate_array_names_the_element():
     for m in (None, np.arange(1, 5), 1):
         with pytest.raises(v.DegenerateGeometry, match="rx element 1:"):
             v.zeta(m, g)
+
+
+@pytest.mark.parametrize(
+    "call, side",
+    [
+        (lambda g: v.zeta(1.5, g), "rx"),
+        (lambda g: v.exact_distance(1.5, 2, g), "rx"),
+        (lambda g: v.exact_distance(True, 1, g), "rx"),
+        (lambda g: v.exact_distance(1, np.bool_(True), g), "tx"),
+        (lambda g: v.exact_distance(np.array([1.0, 2.0]), 1, g), "rx"),
+        (lambda g: v.farfield_channel_gain(1, 2.5, g), "tx"),
+        (lambda g: v.mode_gain_direct(1.5, 1, g), "rx"),
+        (lambda g: v.mode_gain_closed(1.5, 1, g), "rx"),
+        (lambda g: v.approximation_error(1.5, 1, g), "rx"),
+        (lambda g: g.tx_angles([1, 2.0]), "tx"),
+    ],
+    ids=["zeta", "exact_distance", "bool", "numpy_bool", "float_array", "farfield_channel_gain",
+         "mode_gain_direct", "mode_gain_closed", "approximation_error", "tx_angles"],
+)
+def test_element_indices_are_integers_but_not_bools(ref_geometry, call, side):
+    with pytest.raises(ValueError, match=f"{side} element index .* is not an integer"):
+        call(ref_geometry)
+
+
+def test_integer_numpy_indices_are_accepted(ref_geometry):
+    g = ref_geometry
+    assert v.exact_distance(np.int8(2), np.uint16(3), g) == v.exact_distance(2, 3, g)
+    np.testing.assert_array_equal(v.zeta(np.arange(1, 4, dtype=np.uint32), g),
+                                  [v.zeta(m, g) for m in (1, 2, 3)])

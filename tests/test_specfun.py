@@ -250,6 +250,13 @@ def test_wide_table_memory_does_not_grow_with_argument():
     np.testing.assert_allclose(table, scipy_jv(np.arange(5)[:, None], xs), rtol=0, atol=1e-13)
 
 
+# Widest table whose products the oracle forms with one np.cumprod call;
+# wider ones multiply row by row, as specfun._rows once did.  Both orders of
+# work give every p_k = p_{k-1} q_k the same operands, so one kernel with one
+# product path must match the oracle on both sides of this width.
+_ORACLE_CUMPROD_WIDTH = 96
+
+
 def _guarded_rows(max_order, x, guard=True):
     # The oracle of specfun._rows: the same recurrence, with every step
     # testing its denominators for an exact 0 and replacing it with
@@ -274,7 +281,7 @@ def _guarded_rows(max_order, x, guard=True):
             above = np.reciprocal(d, out=d)
         if lo == 0:
             q[0] = 1.0
-        if n <= specfun._CUMPROD_WIDTH:
+        if n <= _ORACLE_CUMPROD_WIDTH:
             np.cumprod(q, axis=0, out=q)
         else:
             for below, row in zip(steps, steps[1:]):
@@ -311,17 +318,21 @@ EDGE_ARGUMENTS = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-300, -1e-300, -1.0, -25
 
 
 def test_tables_bit_identical_to_the_guarded_recurrence(monkeypatch):
-    # Seeded draws: orders 0-64, widths 0-400 (both sides of _CUMPROD_WIDTH),
-    # |x| log-uniform from 1e-5 up to a per-draw top, half of them with random
-    # signs and edge values.  A quarter each run with blocks of at most 1 and
-    # 300 doubles, which forces many blocks.  The recurrence's length grows
-    # with the top, so only 1 draw in 20 has a top above 100 (up to 1e4).
+    # Seeded draws: orders 0-64, widths 0-400 (both sides of the oracle's
+    # product width), |x| log-uniform from 1e-5 up to a per-draw top, half of
+    # them with random signs and edge values.  A quarter each run with blocks
+    # of at most 1 and 300 doubles, which forces many blocks.  The
+    # recurrence's length grows with the top, so only 1 draw in 20 has a top
+    # above 100 (up to 1e4).  The last 8 draws are 1210 (a 121-point sweep of
+    # 10 elements) and 10,000 arguments wide, with tops up to 100.
     rng = np.random.default_rng(7)
     default_block = specfun._BLOCK_SIZE
-    for draw in range(2000):
+    for draw in range(2008):
         monkeypatch.setattr(specfun, "_BLOCK_SIZE", (default_block, default_block, 1, 300)[draw % 4])
         max_order, width = int(rng.integers(0, 65)), int(rng.integers(0, 401))
-        top = rng.uniform(-5.0, 4.0 if draw % 40 < 2 else 2.0)
+        if draw >= 2000:
+            width = (1210, 10_000)[draw % 8 // 4]
+        top = rng.uniform(-5.0, 4.0 if draw % 40 < 2 and draw < 2000 else 2.0)
         x = 10.0 ** rng.uniform(-5.0, top, width)
         if draw % 2:
             x *= rng.choice([-1.0, 1.0], width)
